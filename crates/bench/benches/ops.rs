@@ -78,26 +78,11 @@ fn bench_conversions(c: &mut Criterion) {
     });
 }
 
-fn bench_reorder(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reorder");
-    group.sample_size(10);
-    let m = gen::power_law(10_000, 80_000, 1.0, 0.4, 3);
-    let csr = m.to_csr();
-    group.bench_function("graph_order", |b| {
-        b.iter(|| sparsepipe_tensor::reorder::graph_order(&csr, 64));
-    });
-    group.bench_function("vanilla", |b| {
-        b.iter(|| sparsepipe_tensor::reorder::vanilla_triangular(&csr, 3));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_vxm_semirings,
     bench_fused_pass,
     bench_buffered_pass,
-    bench_conversions,
-    bench_reorder
+    bench_conversions
 );
 criterion_main!(benches);

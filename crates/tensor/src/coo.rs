@@ -153,28 +153,54 @@ impl CooMatrix {
     /// Applies a symmetric permutation: entry `(r, c)` moves to
     /// `(perm[r], perm[c])`. `perm` maps *old* index → *new* index.
     ///
+    /// Entries are bucketed by new row with a counting sort and each row
+    /// is then sorted by new column; a bijection cannot create duplicate
+    /// coordinates, so no merge pass is needed.
+    ///
     /// # Panics
     ///
-    /// Panics if `perm.len()` differs from `nrows` (the matrix must be
-    /// square for a symmetric relabeling; callers in this crate always
-    /// reorder adjacency matrices).
+    /// Panics if the matrix is not square, or if `perm` is not a
+    /// permutation of `0..nrows` (callers in this crate always reorder
+    /// adjacency matrices).
     pub fn permute_symmetric(&self, perm: &[u32]) -> CooMatrix {
-        assert_eq!(
-            perm.len(),
-            self.nrows as usize,
-            "permutation length must equal nrows"
-        );
+        let n = self.nrows as usize;
+        assert_eq!(perm.len(), n, "permutation length must equal nrows");
         assert_eq!(
             self.nrows, self.ncols,
             "symmetric permutation needs a square matrix"
         );
-        let entries = self
-            .entries
-            .iter()
-            .map(|&(r, c, v)| (perm[r as usize], perm[c as usize], v))
-            .collect();
-        CooMatrix::from_entries(self.nrows, self.ncols, entries)
-            .expect("permutation preserves bounds")
+        let mut seen = vec![false; n];
+        for &p in perm {
+            let slot = seen
+                .get_mut(p as usize)
+                .expect("permutation entries must be below nrows");
+            assert!(!*slot, "permutation maps two indices to {p}");
+            *slot = true;
+        }
+
+        let mut ptr = vec![0usize; n + 1];
+        for &(r, _, _) in &self.entries {
+            ptr[perm[r as usize] as usize + 1] += 1;
+        }
+        for r in 0..n {
+            ptr[r + 1] += ptr[r];
+        }
+        let mut fill = ptr[..n].to_vec();
+        let mut entries = vec![(0u32, 0u32, 0.0f64); self.entries.len()];
+        for &(r, c, v) in &self.entries {
+            let row = perm[r as usize];
+            let slot = &mut fill[row as usize];
+            entries[*slot] = (row, perm[c as usize], v);
+            *slot += 1;
+        }
+        for bounds in ptr.windows(2) {
+            entries[bounds[0]..bounds[1]].sort_unstable_by_key(|&(_, c, _)| c);
+        }
+        CooMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            entries,
+        }
     }
 
     /// Total bytes this matrix would occupy in memory as plain COO

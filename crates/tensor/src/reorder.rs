@@ -17,14 +17,26 @@
 //! Both return a permutation `perm` with `perm[old] = new`, applied
 //! symmetrically via [`CooMatrix::permute_symmetric`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::{CooMatrix, CsrMatrix};
 
 /// Greedy locality-maximizing ordering in the spirit of GraphOrder \[61\].
 ///
 /// Vertices are placed one at a time; each step picks the unplaced vertex
-/// with the most neighbors among the last `window` placed vertices (ties
-/// broken by degree, then index). Runs in `O(nnz · log n)`-ish time using
-/// lazy score updates; intended for offline preprocessing.
+/// with the most neighbors among the last `window` placed vertices (its
+/// *score*), ties broken by higher degree, then lower index.
+///
+/// Scores are bounded by `min(window, max degree)`, so the placement
+/// queue is one bucket per score level: each level is a lazy min-heap of
+/// `u32` ranks in the fixed (degree desc, index asc) order, with a pointer
+/// to the highest non-empty level. Level 0 is a cursor over that rank
+/// order plus a small heap of vertices whose score fell back to 0. Every
+/// edge changes a score at most twice (once entering, once leaving the
+/// window), so there are at most `4 · nnz` pushes, and a level purges its
+/// stale entries whenever it doubles. The run is `O(nnz · log n)` time
+/// and `O(n + nnz)` memory; intended for offline preprocessing.
 ///
 /// Returns the permutation `perm[old] = new`.
 ///
@@ -45,56 +57,153 @@ pub fn graph_order(m: &CsrMatrix, window: usize) -> Vec<u32> {
         return Vec::new();
     }
     let window = window.max(1);
+    let mut adj = Adjacency::undirected(m);
 
-    // Undirected adjacency for scoring (union of out- and in-edges).
-    let adj = undirected_adjacency(m);
+    // order[rank] = vertex, ranked by (degree desc, index asc); a stable
+    // sort keeps equal degrees in index order. The placement loop works
+    // on ranks throughout, so neighbor lists are relabeled to ranks.
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by_key(|&v| Reverse(adj.degree(v)));
+    let mut rank = vec![0u32; n];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    for u in &mut adj.neighbors {
+        *u = rank[*u as usize];
+    }
+    let max_degree = adj.degree(order[0]);
 
-    let degree: Vec<usize> = (0..n).map(|v| adj.row_nnz(v as u32)).collect();
-    // score[v] = number of v's neighbors among the last `window` placed.
-    let mut score = vec![0usize; n];
-    let mut placed = vec![false; n];
+    // score[r] = number of r's neighbors among the last `window` placed,
+    // or PLACED once r itself is placed.
+    let mut score = vec![0u32; n];
     let mut perm = vec![0u32; n];
-    let mut recent: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-
-    // Max-heap keyed by (score, degree). Entries go stale when scores
-    // change; staleness is checked on pop.
-    let mut heap: std::collections::BinaryHeap<(usize, usize, std::cmp::Reverse<usize>)> = (0..n)
-        .map(|v| (0usize, degree[v], std::cmp::Reverse(v)))
-        .collect();
+    // sequence[position] = vertex placed there (the window's history).
+    let mut sequence: Vec<u32> = Vec::with_capacity(n);
+    let mut queue = ScoreQueue::new(window.min(max_degree));
 
     for position in 0..n {
-        // Pop until a fresh, unplaced vertex surfaces.
-        let v = loop {
-            let (s, _, std::cmp::Reverse(v)) = heap.pop().expect("heap cannot be empty");
-            if !placed[v] && s == score[v] {
-                break v;
-            }
-        };
-        placed[v] = true;
-        perm[v] = position as u32;
+        let r = queue.pop(&score);
+        score[r as usize] = PLACED;
+        let v = order[r as usize];
+        perm[v as usize] = position as u32;
+        sequence.push(v);
 
-        // Window maintenance: the vertex falling out of the window lowers
-        // its unplaced neighbors' scores (lazily: push refreshed entries).
-        recent.push_back(v);
-        if recent.len() > window {
-            let old = recent.pop_front().expect("just checked length");
-            for &u in adj.row(old as u32).0 {
-                let u = u as usize;
-                if !placed[u] {
-                    score[u] = score[u].saturating_sub(1);
-                    heap.push((score[u], degree[u], std::cmp::Reverse(u)));
+        // The vertex falling out of the window lowers its unplaced
+        // neighbors' scores.
+        if position >= window {
+            for &u in adj.row(sequence[position - window]) {
+                if score[u as usize] != PLACED {
+                    score[u as usize] -= 1;
+                    queue.push(u, &score);
                 }
             }
         }
-        for &u in adj.row(v as u32).0 {
-            let u = u as usize;
-            if !placed[u] {
-                score[u] += 1;
-                heap.push((score[u], degree[u], std::cmp::Reverse(u)));
+        for &u in adj.row(v) {
+            if score[u as usize] != PLACED {
+                score[u as usize] += 1;
+                queue.push(u, &score);
             }
         }
     }
     perm
+}
+
+/// The score of a placed vertex: above every level, so never live.
+const PLACED: u32 = u32::MAX;
+
+/// The GraphOrder placement queue: per-score buckets of vertex ranks.
+///
+/// Entries are lazy: a rank is re-pushed at its new level whenever its
+/// score changes, and an entry is stale (skipped on pop) once its vertex
+/// is placed or has left that level.
+struct ScoreQueue {
+    /// `levels[s]` holds ranks pushed at score `s`; `levels[0]` only those
+    /// whose score fell back to 0 (the rest are reached by `cursor`).
+    levels: Vec<Level>,
+    /// Highest level that may hold a live entry.
+    top: usize,
+    /// Next rank to consider among vertices that were never pushed.
+    cursor: usize,
+}
+
+/// One score level: a lazy min-heap of ranks, purged of stale entries
+/// whenever it outgrows `limit`.
+struct Level {
+    heap: BinaryHeap<Reverse<u32>>,
+    limit: usize,
+}
+
+/// Floor of a level's purge limit, so near-empty levels are not purged
+/// on every push.
+const LEVEL_SLACK: usize = 16;
+
+impl ScoreQueue {
+    fn new(max_score: usize) -> Self {
+        ScoreQueue {
+            levels: (0..=max_score)
+                .map(|_| Level {
+                    heap: BinaryHeap::new(),
+                    limit: LEVEL_SLACK,
+                })
+                .collect(),
+            top: 0,
+            cursor: 0,
+        }
+    }
+
+    /// Files `rank` under its current score. Most entries go stale (a
+    /// vertex's score moves up and down as the window slides past its
+    /// neighbors), so a level that reaches its limit first drops its
+    /// stale entries and doubles what is left: each heap stays within
+    /// about twice its live entries at amortized `O(1)` purge cost.
+    fn push(&mut self, rank: u32, score: &[u32]) {
+        let level = score[rank as usize] as usize;
+        let Level { heap, limit } = &mut self.levels[level];
+        if heap.len() >= *limit {
+            heap.retain(|&Reverse(r)| score[r as usize] as usize == level);
+            *limit = 2 * heap.len() + LEVEL_SLACK;
+        }
+        heap.push(Reverse(rank));
+        self.top = self.top.max(level);
+    }
+
+    /// Removes and returns the live rank with the highest score and,
+    /// among those, the lowest rank. `score` is indexed by rank.
+    fn pop(&mut self, score: &[u32]) -> u32 {
+        while self.top > 0 {
+            let level = self.top as u32;
+            let heap = &mut self.levels[self.top].heap;
+            while let Some(Reverse(rank)) = heap.pop() {
+                if score[rank as usize] == level {
+                    return rank;
+                }
+            }
+            self.top -= 1;
+        }
+        while score.get(self.cursor).is_some_and(|&s| s != 0) {
+            self.cursor += 1;
+        }
+        let zeros = &mut self.levels[0].heap;
+        while zeros
+            .peek()
+            .is_some_and(|&Reverse(r)| score[r as usize] != 0)
+        {
+            zeros.pop();
+        }
+        match zeros.peek() {
+            Some(&Reverse(rank)) if rank as usize <= self.cursor => {
+                zeros.pop();
+                rank
+            }
+            _ => {
+                assert!(
+                    self.cursor < score.len(),
+                    "an unplaced vertex remains while positions remain"
+                );
+                self.cursor as u32
+            }
+        }
+    }
 }
 
 /// The paper's "vanilla reorder" — barycenter sweeps that pull each vertex
@@ -111,13 +220,13 @@ pub fn vanilla_triangular(m: &CsrMatrix, sweeps: usize) -> Vec<u32> {
     if n == 0 {
         return Vec::new();
     }
-    let adj = undirected_adjacency(m);
+    let adj = Adjacency::undirected(m);
     // position[v] = current coordinate of v (starts at identity).
     let mut position: Vec<f64> = (0..n).map(|v| v as f64).collect();
     for _ in 0..sweeps.max(1) {
         let barycenter: Vec<f64> = (0..n)
             .map(|v| {
-                let (neigh, _) = adj.row(v as u32);
+                let neigh = adj.row(v as u32);
                 if neigh.is_empty() {
                     position[v]
                 } else {
@@ -158,17 +267,66 @@ pub fn mean_span(m: &CooMatrix) -> f64 {
         / m.nnz() as f64
 }
 
-fn undirected_adjacency(m: &CsrMatrix) -> CsrMatrix {
-    let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(m.nnz() * 2);
-    for (r, c, _) in m.iter() {
-        if r != c {
-            entries.push((r, c, 1.0));
-            entries.push((c, r, 1.0));
+/// Loop-free undirected adjacency (union of out- and in-edges) in CSR
+/// shape: `neighbors[ptr[v]..ptr[v + 1]]` are `v`'s distinct neighbors,
+/// ascending.
+struct Adjacency {
+    ptr: Vec<usize>,
+    neighbors: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Two-pass counting sort of both edge directions into rows, then a
+    /// per-row sort and in-place dedup.
+    fn undirected(m: &CsrMatrix) -> Self {
+        let n = m.nrows() as usize;
+        let mut ptr = vec![0usize; n + 1];
+        for (r, c, _) in m.iter() {
+            if r != c {
+                ptr[r as usize + 1] += 1;
+                ptr[c as usize + 1] += 1;
+            }
         }
+        for v in 0..n {
+            ptr[v + 1] += ptr[v];
+        }
+        let mut fill = ptr[..n].to_vec();
+        let mut neighbors = vec![0u32; ptr[n]];
+        for (r, c, _) in m.iter() {
+            if r != c {
+                neighbors[fill[r as usize]] = c;
+                fill[r as usize] += 1;
+                neighbors[fill[c as usize]] = r;
+                fill[c as usize] += 1;
+            }
+        }
+        // Compact each sorted row over the gaps its duplicates leave.
+        let mut kept = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = ptr[v + 1];
+            neighbors[start..end].sort_unstable();
+            ptr[v] = kept;
+            for i in start..end {
+                if i == start || neighbors[i] != neighbors[i - 1] {
+                    neighbors[kept] = neighbors[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+        }
+        ptr[n] = kept;
+        neighbors.truncate(kept);
+        Adjacency { ptr, neighbors }
     }
-    CooMatrix::from_entries(m.nrows(), m.ncols(), entries)
-        .expect("adjacency coordinates are in range")
-        .to_csr()
+
+    fn row(&self, v: u32) -> &[u32] {
+        &self.neighbors[self.ptr[v as usize]..self.ptr[v as usize + 1]]
+    }
+
+    fn degree(&self, v: u32) -> usize {
+        self.ptr[v as usize + 1] - self.ptr[v as usize]
+    }
 }
 
 #[cfg(test)]

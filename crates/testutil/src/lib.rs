@@ -14,6 +14,9 @@
 //!   power-law, uniform, block-diagonal, empty-row/col edge cases) and
 //!   an [`edge_case_suite`](corpus::edge_case_suite) bundling the
 //!   structures that historically break buffer models;
+//! * [`reorder_oracle`] — the reference GraphOrder / vanilla reorderings
+//!   and symmetric permutation the production kernels are checked
+//!   against bit for bit;
 //! * [`benchjson`] — a tiny flat-JSON recorder for `BENCH_*.json`
 //!   telemetry files (the vendored `serde_json` stand-in cannot parse,
 //!   so merging is done with a purpose-built top-level scanner).
@@ -459,6 +462,148 @@ pub mod einsum {
             out.push_str(unit);
         }
         out
+    }
+}
+
+pub mod reorder_oracle {
+    //! Reference implementations of the row reorderings in
+    //! [`sparsepipe_tensor::reorder`] and of
+    //! [`CooMatrix::permute_symmetric`], kept out of release builds.
+    //!
+    //! These are the straightforward formulations: a globally sorted
+    //! triplet list for the undirected adjacency, one lazy max-heap of
+    //! `(score, degree, Reverse(index))` entries for the GraphOrder
+    //! placement queue, and a full re-sort for the symmetric permutation.
+    //! The production code must match them bit for bit
+    //! (`crates/tensor/tests/reorder_differential.rs`).
+
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
+
+    use sparsepipe_tensor::{CooMatrix, CsrMatrix};
+
+    /// Reference for [`sparsepipe_tensor::reorder::graph_order`].
+    pub fn graph_order(m: &CsrMatrix, window: usize) -> Vec<u32> {
+        let n = m.nrows() as usize;
+        assert_eq!(m.nrows(), m.ncols(), "reordering needs a square matrix");
+        if n == 0 {
+            return Vec::new();
+        }
+        let window = window.max(1);
+        let adj = undirected_adjacency(m);
+
+        let degree: Vec<usize> = (0..n).map(|v| adj.row_nnz(v as u32)).collect();
+        let mut score = vec![0usize; n];
+        let mut placed = vec![false; n];
+        let mut perm = vec![0u32; n];
+        let mut recent: VecDeque<usize> = VecDeque::new();
+        // Max-heap keyed by (score, degree, lowest index); entries go
+        // stale when scores change and are skipped on pop.
+        let mut heap: BinaryHeap<(usize, usize, Reverse<usize>)> =
+            (0..n).map(|v| (0usize, degree[v], Reverse(v))).collect();
+
+        for position in 0..n {
+            let v = loop {
+                let (s, _, Reverse(v)) = heap.pop().expect("heap cannot be empty");
+                if !placed[v] && s == score[v] {
+                    break v;
+                }
+            };
+            placed[v] = true;
+            perm[v] = position as u32;
+
+            recent.push_back(v);
+            if recent.len() > window {
+                let old = recent.pop_front().expect("just checked length");
+                for &u in adj.row(old as u32).0 {
+                    let u = u as usize;
+                    if !placed[u] {
+                        score[u] = score[u].saturating_sub(1);
+                        heap.push((score[u], degree[u], Reverse(u)));
+                    }
+                }
+            }
+            for &u in adj.row(v as u32).0 {
+                let u = u as usize;
+                if !placed[u] {
+                    score[u] += 1;
+                    heap.push((score[u], degree[u], Reverse(u)));
+                }
+            }
+        }
+        perm
+    }
+
+    /// Reference for [`sparsepipe_tensor::reorder::vanilla_triangular`].
+    pub fn vanilla_triangular(m: &CsrMatrix, sweeps: usize) -> Vec<u32> {
+        let n = m.nrows() as usize;
+        assert_eq!(m.nrows(), m.ncols(), "reordering needs a square matrix");
+        if n == 0 {
+            return Vec::new();
+        }
+        let adj = undirected_adjacency(m);
+        let mut position: Vec<f64> = (0..n).map(|v| v as f64).collect();
+        for _ in 0..sweeps.max(1) {
+            let barycenter: Vec<f64> = (0..n)
+                .map(|v| {
+                    let (neigh, _) = adj.row(v as u32);
+                    if neigh.is_empty() {
+                        position[v]
+                    } else {
+                        neigh.iter().map(|&u| position[u as usize]).sum::<f64>()
+                            / neigh.len() as f64
+                    }
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| {
+                barycenter[a]
+                    .partial_cmp(&barycenter[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            for (rank, &v) in order.iter().enumerate() {
+                position[v] = rank as f64;
+            }
+        }
+        position.iter().map(|&p| p as u32).collect()
+    }
+
+    /// Reference for [`CooMatrix::permute_symmetric`]: relabel every
+    /// triplet, then re-sort the whole list.
+    pub fn permute_symmetric(m: &CooMatrix, perm: &[u32]) -> CooMatrix {
+        assert_eq!(
+            perm.len(),
+            m.nrows() as usize,
+            "permutation length must equal nrows"
+        );
+        assert_eq!(
+            m.nrows(),
+            m.ncols(),
+            "symmetric permutation needs a square matrix"
+        );
+        let entries = m
+            .entries()
+            .iter()
+            .map(|&(r, c, v)| (perm[r as usize], perm[c as usize], v))
+            .collect();
+        CooMatrix::from_entries(m.nrows(), m.ncols(), entries)
+            .expect("permutation preserves bounds")
+    }
+
+    /// Loop-free union of out- and in-edges, as a CSR matrix with
+    /// ascending, duplicate-free rows.
+    fn undirected_adjacency(m: &CsrMatrix) -> CsrMatrix {
+        let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(m.nnz() * 2);
+        for (r, c, _) in m.iter() {
+            if r != c {
+                entries.push((r, c, 1.0));
+                entries.push((c, r, 1.0));
+            }
+        }
+        CooMatrix::from_entries(m.nrows(), m.ncols(), entries)
+            .expect("adjacency coordinates are in range")
+            .to_csr()
     }
 }
 
