@@ -101,6 +101,31 @@ impl MatrixArena {
         csr_cols: Vec<u32>,
         csr_vals: Vec<f64>,
     ) -> Result<Self, CoreError> {
+        let arena = MatrixArena {
+            n,
+            csc_ptr,
+            csc_rows,
+            csc_vals,
+            csr_ptr,
+            csr_cols,
+            csr_vals,
+        };
+        arena.check()?;
+        Ok(arena)
+    }
+
+    /// The structural invariants [`MatrixArena::from_raw_parts`] checks.
+    fn check(&self) -> Result<(), CoreError> {
+        let MatrixArena {
+            n,
+            csc_ptr,
+            csc_rows,
+            csc_vals,
+            csr_ptr,
+            csr_cols,
+            csr_vals,
+        } = self;
+        let n = *n;
         let fail = |context: String| CoreError::InvalidArena { context };
         let nnz = csc_rows.len();
         if nnz >= u32::MAX as usize {
@@ -133,8 +158,8 @@ impl MatrixArena {
             }
             Ok(())
         };
-        check_ptr("csc_ptr", &csc_ptr)?;
-        check_ptr("csr_ptr", &csr_ptr)?;
+        check_ptr("csc_ptr", csc_ptr)?;
+        check_ptr("csr_ptr", csr_ptr)?;
         let check_coords = |name: &str, ptr: &[u32], coords: &[u32]| -> Result<(), CoreError> {
             for s in 0..n as usize {
                 let slice = &coords[ptr[s] as usize..ptr[s + 1] as usize];
@@ -149,8 +174,8 @@ impl MatrixArena {
             }
             Ok(())
         };
-        check_coords("csc_rows", &csc_ptr, &csc_rows)?;
-        check_coords("csr_cols", &csr_ptr, &csr_cols)?;
+        check_coords("csc_rows", csc_ptr, csc_rows)?;
+        check_coords("csr_cols", csr_ptr, csr_cols)?;
         // CSC/CSR must describe the same matrix: walking the CSC form in
         // row-major order must reproduce the CSR arrays exactly.
         let mut cursor: Vec<u32> = csr_ptr[..n as usize].to_vec();
@@ -167,15 +192,7 @@ impl MatrixArena {
                 cursor[r] += 1;
             }
         }
-        Ok(MatrixArena {
-            n,
-            csc_ptr,
-            csc_rows,
-            csc_vals,
-            csr_ptr,
-            csr_cols,
-            csr_vals,
-        })
+        Ok(())
     }
 
     /// Matrix dimension (square).
@@ -320,30 +337,55 @@ impl MatrixArena {
 /// [`CooMatrix::from_entries`]'s semantics for already-sorted input.
 /// The two passes must present the same entries in the same order; the
 /// placement pass re-checks the counts and fails otherwise.
+///
+/// Placement follows the input's own order. The counting pass counts
+/// per row and per column and notes whether the rows never decrease; if
+/// so, entries are placed row by row (CSR-major, sequential writes for a
+/// row-sorted file such as [`sparsepipe_tensor::mm::write`] emits) and
+/// [`ArenaBuilder::finish`] derives the CSC side, otherwise column by
+/// column (sequential for column-sorted SuiteSparse exports) and `finish`
+/// derives CSR. Both are one code path under a transpose, and the arena
+/// is the same either way.
 #[derive(Debug)]
 pub struct ArenaBuilder {
     n: u32,
-    /// Counting pass: per-column counts at `[c + 1]`; placement pass:
-    /// the finished CSC offset table.
-    csc_ptr: Vec<u32>,
-    /// Per-column write cursors during placement.
+    /// Counting pass: per-column counts at `[c + 1]`.
+    col_counts: Vec<u32>,
+    /// Counting pass: per-row counts at `[r + 1]`.
+    row_counts: Vec<u32>,
+    /// Row of the last counted entry.
+    last_row: u32,
+    /// Every counted entry's row is at least its predecessor's; fixed
+    /// once placement starts, it selects row-major (CSR) placement.
+    by_row: bool,
+    /// Placement pass: the offset table of the major orientation.
+    ptr: Vec<u32>,
+    /// Per-slice write cursors during placement.
     cursor: Vec<u32>,
-    csc_rows: Vec<u32>,
-    csc_vals: Vec<f64>,
+    /// Minor coordinate of each placed element.
+    minor: Vec<u32>,
+    vals: Vec<f64>,
     counted: u64,
     placed: usize,
     placing: bool,
 }
+
+/// One orientation of the arena: offsets, coordinates, values.
+type Side = (Vec<u32>, Vec<u32>, Vec<f64>);
 
 impl ArenaBuilder {
     /// A builder for a square `n × n` matrix, in the counting pass.
     pub fn new(n: u32) -> Self {
         ArenaBuilder {
             n,
-            csc_ptr: vec![0; n as usize + 1],
+            col_counts: vec![0; n as usize + 1],
+            row_counts: vec![0; n as usize + 1],
+            last_row: 0,
+            by_row: true,
+            ptr: Vec::new(),
             cursor: Vec::new(),
-            csc_rows: Vec::new(),
-            csc_vals: Vec::new(),
+            minor: Vec::new(),
+            vals: Vec::new(),
             counted: 0,
             placed: 0,
             placing: false,
@@ -379,13 +421,16 @@ impl ArenaBuilder {
                 context: format!("nnz {} overflows u32 offsets", self.counted),
             });
         }
-        self.csc_ptr[c as usize + 1] += 1;
+        self.col_counts[c as usize + 1] += 1;
+        self.row_counts[r as usize + 1] += 1;
+        self.by_row &= r >= self.last_row;
+        self.last_row = r;
         Ok(())
     }
 
-    /// Ends the counting pass: prefix-sums the column counts and
-    /// allocates the element arrays (the single large allocation of the
-    /// build).
+    /// Ends the counting pass: picks the placement orientation,
+    /// prefix-sums its counts and allocates the element arrays (the
+    /// single large allocation of the placement pass).
     ///
     /// # Errors
     ///
@@ -396,13 +441,20 @@ impl ArenaBuilder {
                 context: "start_placement() called twice".into(),
             });
         }
+        let (major, other) = if self.by_row {
+            (&mut self.row_counts, &mut self.col_counts)
+        } else {
+            (&mut self.col_counts, &mut self.row_counts)
+        };
+        self.ptr = std::mem::take(major);
+        *other = Vec::new();
         for i in 0..self.n as usize {
-            self.csc_ptr[i + 1] += self.csc_ptr[i];
+            self.ptr[i + 1] += self.ptr[i];
         }
-        self.cursor = self.csc_ptr[..self.n as usize].to_vec();
+        self.cursor = self.ptr[..self.n as usize].to_vec();
         let nnz = self.counted as usize;
-        self.csc_rows = vec![0; nnz];
-        self.csc_vals = vec![0.0; nnz];
+        self.minor = vec![0; nnz];
+        self.vals = vec![0.0; nnz];
         self.placing = true;
         Ok(())
     }
@@ -412,8 +464,9 @@ impl ArenaBuilder {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidArena`] if the entry overflows its column's
-    /// counted size or the builder is still in the counting pass.
+    /// [`CoreError::InvalidArena`] if the entry overflows its row's or
+    /// column's counted size or the builder is still in the counting
+    /// pass.
     pub fn place(&mut self, r: u32, c: u32, v: f64) -> Result<(), CoreError> {
         if !self.placing {
             return Err(CoreError::InvalidArena {
@@ -421,28 +474,34 @@ impl ArenaBuilder {
             });
         }
         self.check_coords(r, c)?;
-        let idx = self.cursor[c as usize] as usize;
-        if idx >= self.csc_ptr[c as usize + 1] as usize {
+        let (major, minor) = if self.by_row { (r, c) } else { (c, r) };
+        let idx = self.cursor[major as usize] as usize;
+        if idx >= self.ptr[major as usize + 1] as usize {
+            let what = if self.by_row { "row" } else { "column" };
             return Err(CoreError::InvalidArena {
-                context: format!("column {c} received more entries than counted"),
+                context: format!("{what} {major} received more entries than counted"),
             });
         }
-        self.csc_rows[idx] = r;
-        self.csc_vals[idx] = v;
-        self.cursor[c as usize] += 1;
+        self.minor[idx] = minor;
+        self.vals[idx] = v;
+        self.cursor[major as usize] += 1;
         self.placed += 1;
         Ok(())
     }
 
-    /// Finishes the build: per-column row sort (skipped for the common
-    /// already-sorted case), duplicate merge by addition in input order,
-    /// CSR derivation, and full structural validation.
+    /// Finishes the build: per-slice sort of the placed orientation
+    /// (skipped for the common already-sorted case), duplicate merge by
+    /// addition in input order, and derivation of the other orientation.
+    /// The result is a valid arena by construction — `place` bounds every
+    /// coordinate and slice, and the placed count equals the counted one,
+    /// so every slice is exactly full — so the O(nnz) structural check of
+    /// [`MatrixArena::from_raw_parts`] runs in debug builds only.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidArena`] if the placement pass delivered a
     /// different entry stream than the counting pass.
-    pub fn finish(mut self) -> Result<MatrixArena, CoreError> {
+    pub fn finish(self) -> Result<MatrixArena, CoreError> {
         if !self.placing {
             return Err(CoreError::InvalidArena {
                 context: "finish() before start_placement()".into(),
@@ -456,84 +515,101 @@ impl ArenaBuilder {
                 ),
             });
         }
-        let n = self.n as usize;
-        // Sort each column's (row, value) pairs by row. File order is
-        // kept among equal rows (stable sort) so duplicate merging sums
-        // in input order, like `CooMatrix::from_entries` on sorted
-        // input. SuiteSparse exports are already ordered, so the scratch
-        // sort usually never runs.
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for c in 0..n {
-            let (lo, hi) = (self.csc_ptr[c] as usize, self.csc_ptr[c + 1] as usize);
-            if self.csc_rows[lo..hi].windows(2).all(|w| w[0] < w[1]) {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(
-                self.csc_rows[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(self.csc_vals[lo..hi].iter().copied()),
-            );
-            scratch.sort_by_key(|&(r, _)| r);
-            for (i, &(r, v)) in scratch.iter().enumerate() {
-                self.csc_rows[lo + i] = r;
-                self.csc_vals[lo + i] = v;
-            }
-        }
-        // Merge duplicates in place (compacting), rebuilding the offset
-        // table as we go.
-        let mut write = 0usize;
-        let mut new_ptr = vec![0u32; n + 1];
-        for c in 0..n {
-            let (lo, hi) = (self.csc_ptr[c] as usize, self.csc_ptr[c + 1] as usize);
-            let mut i = lo;
-            while i < hi {
-                let r = self.csc_rows[i];
-                let mut v = self.csc_vals[i];
-                i += 1;
-                while i < hi && self.csc_rows[i] == r {
-                    v += self.csc_vals[i];
-                    i += 1;
-                }
-                self.csc_rows[write] = r;
-                self.csc_vals[write] = v;
-                write += 1;
-            }
-            new_ptr[c + 1] = write as u32;
-        }
-        self.csc_rows.truncate(write);
-        self.csc_vals.truncate(write);
-        let csc_ptr = new_ptr;
-        let (csc_rows, csc_vals) = (self.csc_rows, self.csc_vals);
-
-        // Derive CSR by a counting pass over the CSC image. Visiting
-        // columns in ascending order lands each row's elements in
-        // ascending column order, so the CSR slices come out sorted.
-        let mut csr_ptr = vec![0u32; n + 1];
-        for &r in &csc_rows {
-            csr_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..n {
-            csr_ptr[i + 1] += csr_ptr[i];
-        }
-        let mut csr_cursor: Vec<u32> = csr_ptr[..n].to_vec();
-        let mut csr_cols = vec![0u32; write];
-        let mut csr_vals = vec![0.0f64; write];
-        for c in 0..n {
-            for i in csc_ptr[c] as usize..csc_ptr[c + 1] as usize {
-                let r = csc_rows[i] as usize;
-                let p = csr_cursor[r] as usize;
-                csr_cols[p] = c as u32;
-                csr_vals[p] = csc_vals[i];
-                csr_cursor[r] += 1;
-            }
-        }
-        drop(csr_cursor);
-        MatrixArena::from_raw_parts(
-            self.n, csc_ptr, csc_rows, csc_vals, csr_ptr, csr_cols, csr_vals,
-        )
+        let placed = merge_slices(self.n as usize, &self.ptr, self.minor, self.vals);
+        let derived = transpose(self.n as usize, &placed);
+        let ((csc_ptr, csc_rows, csc_vals), (csr_ptr, csr_cols, csr_vals)) = if self.by_row {
+            (derived, placed)
+        } else {
+            (placed, derived)
+        };
+        let arena = MatrixArena {
+            n: self.n,
+            csc_ptr,
+            csc_rows,
+            csc_vals,
+            csr_ptr,
+            csr_cols,
+            csr_vals,
+        };
+        debug_assert_eq!(arena.check().map_err(|e| e.to_string()), Ok(()));
+        Ok(arena)
     }
+}
+
+/// Sorts each slice `ptr[s]..ptr[s + 1]` by minor coordinate and merges
+/// duplicates by addition, compacting in place. File order is kept among
+/// equal coordinates (stable sort) so duplicates sum in input order, like
+/// `CooMatrix::from_entries` on sorted input. Input in the placement
+/// orientation's own order is already sorted, so the scratch sort
+/// usually never runs.
+fn merge_slices(n: usize, ptr: &[u32], mut minor: Vec<u32>, mut vals: Vec<f64>) -> Side {
+    let mut scratch: Vec<(u32, f64)> = Vec::new();
+    for s in 0..n {
+        let (lo, hi) = (ptr[s] as usize, ptr[s + 1] as usize);
+        if minor[lo..hi].windows(2).all(|w| w[0] < w[1]) {
+            continue;
+        }
+        scratch.clear();
+        scratch.extend(
+            minor[lo..hi]
+                .iter()
+                .copied()
+                .zip(vals[lo..hi].iter().copied()),
+        );
+        scratch.sort_by_key(|&(m, _)| m);
+        for (i, &(m, v)) in scratch.iter().enumerate() {
+            minor[lo + i] = m;
+            vals[lo + i] = v;
+        }
+    }
+    let mut write = 0usize;
+    let mut new_ptr = vec![0u32; n + 1];
+    for s in 0..n {
+        let (lo, hi) = (ptr[s] as usize, ptr[s + 1] as usize);
+        let mut i = lo;
+        while i < hi {
+            let m = minor[i];
+            let mut v = vals[i];
+            i += 1;
+            while i < hi && minor[i] == m {
+                v += vals[i];
+                i += 1;
+            }
+            minor[write] = m;
+            vals[write] = v;
+            write += 1;
+        }
+        new_ptr[s + 1] = write as u32;
+    }
+    minor.truncate(write);
+    vals.truncate(write);
+    (new_ptr, minor, vals)
+}
+
+/// The other orientation of `side`, by a counting pass. Visiting major
+/// slices in ascending order lands each derived slice's elements in
+/// ascending order, so the derived slices come out sorted.
+fn transpose(n: usize, (ptr, minor, vals): &Side) -> Side {
+    let mut t_ptr = vec![0u32; n + 1];
+    for &m in minor {
+        t_ptr[m as usize + 1] += 1;
+    }
+    for i in 0..n {
+        t_ptr[i + 1] += t_ptr[i];
+    }
+    let mut cursor: Vec<u32> = t_ptr[..n].to_vec();
+    let mut t_minor = vec![0u32; minor.len()];
+    let mut t_vals = vec![0.0f64; minor.len()];
+    for s in 0..n {
+        for i in ptr[s] as usize..ptr[s + 1] as usize {
+            let m = minor[i] as usize;
+            let p = cursor[m] as usize;
+            t_minor[p] = s as u32;
+            t_vals[p] = vals[i];
+            cursor[m] += 1;
+        }
+    }
+    (t_ptr, t_minor, t_vals)
 }
 
 /// A fixed-capacity set of `u32` ids on a `u64`-word bitset, with the
@@ -740,6 +816,48 @@ mod tests {
     }
 
     #[test]
+    fn builder_places_in_the_input_order() {
+        // duplicates with values whose sum depends on the order
+        let mut m = gen::power_law(80, 600, 1.0, 0.4, 11).entries().to_vec();
+        m.extend([(3u32, 5u32, 1e16), (3, 5, 1.0), (3, 5, -1e16)]);
+        let row_major = {
+            let mut e = m.clone();
+            e.sort_by_key(|&(r, _, _)| r);
+            e
+        };
+        let col_major = {
+            let mut e = m.clone();
+            e.sort_by_key(|&(r, c, _)| (c, r));
+            e
+        };
+        let build = |entries: &[(u32, u32, f64)]| {
+            let mut b = ArenaBuilder::new(80);
+            for &(r, c, _) in entries {
+                b.count(r, c).unwrap();
+            }
+            b.start_placement().unwrap();
+            let by_row = b.by_row;
+            for &(r, c, v) in entries {
+                b.place(r, c, v).unwrap();
+            }
+            (by_row, b.finish().unwrap())
+        };
+        let (by_row, from_rows) = build(&row_major);
+        assert!(by_row, "row-sorted input places by row");
+        let (by_row, from_cols) = build(&col_major);
+        assert!(!by_row, "column-sorted input places by column");
+        assert_eq!(from_rows, from_cols);
+        let sum = from_rows.row(3).1[from_rows.row(3).0.partition_point(|&c| c < 5)];
+        let expected = m
+            .iter()
+            .filter(|&&(r, c, _)| (r, c) == (3, 5))
+            .map(|&(_, _, v)| v)
+            .reduce(|a, b| a + b)
+            .unwrap();
+        assert_eq!(sum.to_bits(), expected.to_bits(), "input-order sum");
+    }
+
+    #[test]
     fn builder_rejects_protocol_violations() {
         let mut b = ArenaBuilder::new(4);
         assert!(b.count(4, 0).is_err(), "row out of shape");
@@ -747,8 +865,20 @@ mod tests {
         b.count(1, 1).unwrap();
         b.start_placement().unwrap();
         assert!(b.count(0, 0).is_err(), "count after start_placement");
-        assert!(b.place(0, 0, 1.0).is_err(), "uncounted column overflows");
-        b.place(2, 1, 5.0).unwrap();
+        // a single counted entry is row-sorted, so placement is by row
+        assert!(b.place(0, 0, 1.0).is_err(), "uncounted row overflows");
+        b.place(1, 2, 5.0).unwrap();
+        // counted out of row order, so placement is by column
+        let mut cols = ArenaBuilder::new(4);
+        cols.count(2, 0).unwrap();
+        cols.count(1, 1).unwrap();
+        cols.start_placement().unwrap();
+        let err = cols.place(0, 2, 1.0).unwrap_err().to_string();
+        assert!(
+            err.contains("column 2"),
+            "uncounted column overflows: {err}"
+        );
+        cols.place(3, 1, 5.0).unwrap();
         // placement delivered different coordinates than counting — the
         // shape bookkeeping still balances, so finish validates clean,
         // but a *count* mismatch is caught:

@@ -2,11 +2,12 @@
 //! [`MatrixArena`] for out-of-core sweeps (DESIGN.md §17).
 //!
 //! A slab is the arena's six arrays written verbatim (little-endian, each
-//! section 8-byte aligned) behind a 64-byte versioned header carrying an
-//! FNV-1a content fingerprint — the same hash family
-//! [`crate::MatrixCache::key_for`] uses, so a slab's identity and a cache
-//! key derive from one primitive. Loading is a straight sequential read:
-//! each section is decoded in bounded staging chunks directly into its
+//! section 8-byte aligned) behind a 64-byte versioned header carrying a
+//! content fingerprint of the payload: a word-wise hash that reads the
+//! payload one little-endian `u64` at a time (see
+//! [`SlabHeader::fingerprint`]), separate from the byte-wise FNV-1a fold
+//! [`crate::MatrixCache::key_for`] uses. Loading is a straight sequential
+//! read: each section is decoded in bounded staging chunks directly into its
 //! final `Vec`, so peak RSS during a load is the arena itself plus a
 //! fixed 4 MB staging buffer, and the loaded slices are handed to the
 //! simulator exactly as [`MatrixArena`] slices (no triplet list, no
@@ -17,12 +18,12 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "SPSLAB1\0"
-//!      8     4  version (1)
+//!      8     4  version (2)
 //!     12     4  flags (0)
 //!     16     4  n (square dimension)
 //!     20     4  reserved (0)
 //!     24     8  nnz
-//!     32     8  FNV-1a fingerprint of the payload bytes
+//!     32     8  fingerprint of the payload words
 //!     40    24  reserved (0)
 //!     64     …  payload: csc_ptr, csc_rows, csc_vals,
 //!                        csr_ptr, csr_cols, csr_vals
@@ -32,7 +33,9 @@
 //! Structural failures carry stable [`SlabError::code`]s (`slab-magic`,
 //! `slab-version`, `slab-truncated`, `slab-fingerprint`, `slab-shape`,
 //! `slab-io`) so tooling can distinguish a torn download from a version
-//! skew without parsing prose.
+//! skew without parsing prose. Version 1 slabs (byte-wise FNV-1a
+//! fingerprint) fail with `slab-version`; re-running `experiments convert`
+//! rewrites them.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -46,15 +49,18 @@ use crate::CoreError;
 /// Leading magic bytes of every slab file.
 pub const MAGIC: [u8; 8] = *b"SPSLAB1\0";
 
-/// The current (and only) format version.
-pub const VERSION: u32 = 1;
+/// The current (and only readable) format version.
+pub const VERSION: u32 = 2;
 
 /// Total header size in bytes.
 pub const HEADER_BYTES: usize = 64;
 
 /// Staging-buffer size for chunked encode/decode (a multiple of 8 so
-/// chunk boundaries never split an element).
+/// chunk boundaries never split an element or a fingerprint word).
 const STAGE_BYTES: usize = 4 << 20;
+
+/// Read-buffer size for the MatrixMarket source of [`convert_mm`].
+const MM_READ_BYTES: usize = 256 << 10;
 
 /// Errors produced by slab reading, writing, and conversion.
 #[derive(Debug)]
@@ -122,7 +128,8 @@ impl std::fmt::Display for SlabError {
             }
             SlabError::Version { found } => write!(
                 f,
-                "[slab-version] unsupported slab version {found} (this build reads {VERSION})"
+                "[slab-version] unsupported slab version {found} (this build reads \
+                 {VERSION}); re-run `experiments convert` to rewrite the slab"
             ),
             SlabError::Truncated { context } => {
                 write!(f, "[slab-truncated] slab file ends early: {context}")
@@ -185,7 +192,12 @@ pub struct SlabHeader {
     pub n: u32,
     /// Non-zero count.
     pub nnz: u64,
-    /// FNV-1a hash of the payload bytes.
+    /// Hash of the payload, read as little-endian `u64` words `w`: one
+    /// lane of xxHash64's round, `acc = rotl(acc + w·P2, 31)·P1` from
+    /// `acc = P3`, then xxHash64's avalanche of `acc ^ word_count`. Every
+    /// step is a bijection of the state, so any change confined to one
+    /// word always changes the hash, and the avalanche carries every
+    /// input bit to every output bit.
     pub fingerprint: u64,
 }
 
@@ -209,23 +221,54 @@ fn pad8(bytes: u64) -> u64 {
     bytes.next_multiple_of(8)
 }
 
-/// FNV-1a, byte for byte the same fold as `MatrixCache::key_for`.
-struct Fnv(u64);
+/// The payload fingerprint (see [`SlabHeader::fingerprint`]), fed whole
+/// words at a time.
+struct PayloadHash {
+    acc: u64,
+    words: u64,
+}
 
-impl Fnv {
+/// xxHash64's primes.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+
+impl PayloadHash {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        PayloadHash { acc: P3, words: 0 }
     }
 
+    /// Folds in `bytes`, a whole number of little-endian words (the
+    /// writer and reader stage every section, pad included, in 8-byte
+    /// multiples).
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        assert!(
+            bytes.len().is_multiple_of(8),
+            "fingerprint input must be whole words"
+        );
+        for w in bytes.chunks_exact(8) {
+            let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+            self.acc = self
+                .acc
+                .wrapping_add(w.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1);
         }
+        self.words += (bytes.len() / 8) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.acc ^ self.words;
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
 }
 
-/// One u32 section in staging chunks, plus its 8-byte alignment pad.
+/// One u32 section in staging chunks, its 8-byte alignment pad appended
+/// to the last chunk (every earlier chunk is a full, 8-aligned stage).
 fn emit_u32s(
     data: &[u32],
     buf: &mut Vec<u8>,
@@ -236,10 +279,10 @@ fn emit_u32s(
         for &x in chunk {
             buf.extend_from_slice(&x.to_le_bytes());
         }
+        if !buf.len().is_multiple_of(8) {
+            buf.extend_from_slice(&[0u8; 4]);
+        }
         emit(buf)?;
-    }
-    if !(data.len() * 4).is_multiple_of(8) {
-        emit(&[0u8; 4])?;
     }
     Ok(())
 }
@@ -285,16 +328,16 @@ fn emit_payload(
 /// [`SlabError::Io`] on write failure.
 pub fn write(arena: &MatrixArena, writer: &mut impl Write) -> Result<SlabHeader, SlabError> {
     let mut buf = Vec::with_capacity(STAGE_BYTES.min(8 * arena.nnz().max(1024)));
-    let mut fnv = Fnv::new();
+    let mut hash = PayloadHash::new();
     emit_payload(arena, &mut buf, &mut |bytes| {
-        fnv.eat(bytes);
+        hash.eat(bytes);
         Ok(())
     })?;
     let header = SlabHeader {
         version: VERSION,
         n: arena.n(),
         nnz: arena.nnz() as u64,
-        fingerprint: fnv.0,
+        fingerprint: hash.finish(),
     };
     let mut head = [0u8; HEADER_BYTES];
     head[0..8].copy_from_slice(&MAGIC);
@@ -319,11 +362,13 @@ pub fn write_file(arena: &MatrixArena, path: &Path) -> Result<SlabHeader, SlabEr
 }
 
 /// Decodes just the 64-byte header: the cheap admission peek (shape,
-/// nnz, fingerprint) without loading the payload.
+/// nnz, fingerprint) without loading the payload. An `nnz` the arena's
+/// `u32` offsets cannot hold is rejected here, so every accepted
+/// header's [`SlabHeader::file_bytes`] is exact.
 ///
 /// # Errors
 ///
-/// [`SlabError::Magic`] / [`SlabError::Version`] /
+/// [`SlabError::Magic`] / [`SlabError::Version`] / [`SlabError::Shape`] /
 /// [`SlabError::Truncated`] / [`SlabError::Io`].
 pub fn peek(reader: &mut impl Read) -> Result<SlabHeader, SlabError> {
     let mut head = [0u8; HEADER_BYTES];
@@ -347,10 +392,16 @@ pub fn peek(reader: &mut impl Read) -> Result<SlabHeader, SlabError> {
     if version != VERSION {
         return Err(SlabError::Version { found: version });
     }
+    let nnz = dword(24..32);
+    if nnz >= u64::from(u32::MAX) {
+        return Err(SlabError::Shape {
+            context: format!("nnz {nnz} overflows the arena's u32 offsets"),
+        });
+    }
     Ok(SlabHeader {
         version,
         n: word(16..20),
-        nnz: dword(24..32),
+        nnz,
         fingerprint: dword(32..40),
     })
 }
@@ -366,7 +417,7 @@ pub fn peek_file(path: &Path) -> Result<SlabHeader, SlabError> {
 
 struct SectionReader<'a, R> {
     reader: &'a mut R,
-    fnv: Fnv,
+    hash: PayloadHash,
     buf: Vec<u8>,
 }
 
@@ -382,27 +433,25 @@ impl<R: Read> SectionReader<'_, R> {
                 SlabError::Io(e)
             }
         })?;
-        self.fnv.eat(&self.buf);
+        self.hash.eat(&self.buf);
         Ok(())
     }
 
     /// One section of `count` u32s (LE), decoded in staging chunks
-    /// straight into the returned `Vec`, plus its alignment padding.
+    /// straight into the returned `Vec`; the alignment pad is read with
+    /// the last chunk.
     fn read_u32s(&mut self, count: usize, context: &str) -> Result<Vec<u32>, SlabError> {
         let mut out = Vec::with_capacity(count);
         let mut remaining = count;
         while remaining > 0 {
             let take = remaining.min(STAGE_BYTES / 4);
-            self.fill(take * 4, context)?;
+            self.fill((take * 4).next_multiple_of(8), context)?;
             out.extend(
-                self.buf
+                self.buf[..take * 4]
                     .chunks_exact(4)
                     .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
             );
             remaining -= take;
-        }
-        if !(count * 4).is_multiple_of(8) {
-            self.fill(4, context)?;
         }
         Ok(out)
     }
@@ -431,23 +480,31 @@ impl<R: Read> SectionReader<'_, R> {
 /// [`MatrixArena::from_raw_parts`] structural validation before anything
 /// is handed to the simulator.
 ///
+/// The arrays are allocated at the sizes the header declares, so a
+/// forged header on a short stream can request far more memory than the
+/// stream holds; [`read_file`] checks the declared size against the
+/// file's before allocating.
+///
 /// # Errors
 ///
 /// Any [`SlabError`]; see the stable codes in the module docs.
 pub fn read(reader: &mut impl Read) -> Result<(MatrixArena, SlabHeader), SlabError> {
     let header = peek(reader)?;
+    read_payload(reader, header)
+}
+
+/// The payload half of [`read`], after `header` was peeked.
+fn read_payload(
+    reader: &mut impl Read,
+    header: SlabHeader,
+) -> Result<(MatrixArena, SlabHeader), SlabError> {
     let n = header.n as usize;
     let nnz = usize::try_from(header.nnz).map_err(|_| SlabError::Shape {
         context: format!("nnz {} does not fit this platform's usize", header.nnz),
     })?;
-    if header.nnz >= u64::from(u32::MAX) {
-        return Err(SlabError::Shape {
-            context: format!("nnz {} overflows the arena's u32 offsets", header.nnz),
-        });
-    }
     let mut sec = SectionReader {
         reader,
-        fnv: Fnv::new(),
+        hash: PayloadHash::new(),
         buf: Vec::new(),
     };
     let csc_ptr = sec.read_u32s(n + 1, "csc_ptr")?;
@@ -456,10 +513,11 @@ pub fn read(reader: &mut impl Read) -> Result<(MatrixArena, SlabHeader), SlabErr
     let csr_ptr = sec.read_u32s(n + 1, "csr_ptr")?;
     let csr_cols = sec.read_u32s(nnz, "csr_cols")?;
     let csr_vals = sec.read_f64s(nnz, "csr_vals")?;
-    if sec.fnv.0 != header.fingerprint {
+    let actual = sec.hash.finish();
+    if actual != header.fingerprint {
         return Err(SlabError::Fingerprint {
             expected: header.fingerprint,
-            actual: sec.fnv.0,
+            actual,
         });
     }
     let arena = MatrixArena::from_raw_parts(
@@ -468,20 +526,37 @@ pub fn read(reader: &mut impl Read) -> Result<(MatrixArena, SlabHeader), SlabErr
     Ok((arena, header))
 }
 
-/// [`read`] on a file path (buffered).
+/// [`read`] on a file path (buffered). The header's declared size is
+/// checked against the file's length before any array is allocated.
 ///
 /// # Errors
 ///
-/// See [`read`]; open failures surface as [`SlabError::Io`].
+/// See [`read`]; a file shorter than its header declares fails with
+/// [`SlabError::Truncated`], open failures surface as [`SlabError::Io`].
 pub fn read_file(path: &Path) -> Result<(MatrixArena, SlabHeader), SlabError> {
-    read(&mut BufReader::new(File::open(path)?))
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
+    let header = peek(&mut reader)?;
+    if len < header.file_bytes() {
+        return Err(SlabError::Truncated {
+            context: format!(
+                "file holds {len} bytes, its header declares {}",
+                header.file_bytes()
+            ),
+        });
+    }
+    read_payload(&mut reader, header)
 }
 
 /// Streaming MatrixMarket → slab conversion: two visitor passes over the
 /// source file feed the chunked [`ArenaBuilder`] (counting, then
 /// placement), so the full triplet list is never materialized — peak RSS
 /// is the finished arena plus `O(n)` cursors, within ~1.2× of the slab
-/// payload itself.
+/// payload itself. The counting pass reads coordinates only
+/// ([`mm::stream_coords`]); values are parsed once, in the placement
+/// pass. A counting-pass error is re-resolved with [`mm::first_defect`],
+/// so the error is always the first defect in file order.
 ///
 /// # Errors
 ///
@@ -489,7 +564,9 @@ pub fn read_file(path: &Path) -> Result<(MatrixArena, SlabHeader), SlabError> {
 /// codes), [`SlabError::Shape`] for non-square sources, and I/O errors
 /// from either side.
 pub fn convert_mm(mtx: &Path, out: &Path) -> Result<SlabHeader, SlabError> {
-    let open = || -> Result<BufReader<File>, SlabError> { Ok(BufReader::new(File::open(mtx)?)) };
+    let open = || -> Result<BufReader<File>, SlabError> {
+        Ok(BufReader::with_capacity(MM_READ_BYTES, File::open(mtx)?))
+    };
     let head = mm::read_header(open()?)?;
     if head.nrows != head.ncols {
         return Err(SlabError::Shape {
@@ -502,23 +579,25 @@ pub fn convert_mm(mtx: &Path, out: &Path) -> Result<SlabHeader, SlabError> {
         });
     }
     let mut builder = ArenaBuilder::new(head.nrows);
-    mm::stream(open()?, |r, c, _| {
-        builder.count(r, c).map_err(|e| TensorError::Format {
-            code: "mm-shape",
-            line: 0,
-            message: e.to_string(),
-        })
-    })?;
+    if let Err(e) = mm::stream_coords(open()?, |r, c| builder.count(r, c).map_err(builder_err)) {
+        return Err(mm::first_defect(open()?, e).into());
+    }
     builder.start_placement()?;
     mm::stream(open()?, |r, c, v| {
-        builder.place(r, c, v).map_err(|e| TensorError::Format {
-            code: "mm-shape",
-            line: 0,
-            message: e.to_string(),
-        })
+        builder.place(r, c, v).map_err(builder_err)
     })?;
     let arena = builder.finish()?;
     write_file(&arena, out)
+}
+
+/// An [`ArenaBuilder`] failure inside an `mm` visitor, which raised it
+/// outside any line.
+fn builder_err(e: CoreError) -> TensorError {
+    TensorError::Format {
+        code: "mm-shape",
+        line: 0,
+        message: e.to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -621,6 +700,85 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        let a = MatrixArena::from_coo(&gen::uniform(9, 9, 13, 2));
+        let mut bytes = Vec::new();
+        write(&a, &mut bytes).unwrap();
+        // the fingerprint field and every payload bit
+        for byte in (32..40).chain(HEADER_BYTES..bytes.len()) {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[byte] ^= 1 << bit;
+                let err = read(&mut flipped.as_slice()).unwrap_err();
+                assert_eq!(err.code(), "slab-fingerprint", "byte {byte} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_two_words_are_rejected() {
+        // Word-wise FNV-1a keeps a top-bit difference in the top bit, so
+        // two such flips cancel; this hash must not.
+        let a = arena(8);
+        let mut bytes = Vec::new();
+        let header = write(&a, &mut bytes).unwrap();
+        let words = (bytes.len() - HEADER_BYTES) / 8;
+        let top = |bytes: &mut [u8], w: usize| bytes[HEADER_BYTES + 8 * w + 7] ^= 0x80;
+        let hash = |bytes: &[u8]| {
+            let mut h = PayloadHash::new();
+            h.eat(&bytes[HEADER_BYTES..]);
+            h.finish()
+        };
+        for i in 0..words.min(64) {
+            for j in (i + 1..words).step_by(7) {
+                let mut flipped = bytes.clone();
+                top(&mut flipped, i);
+                top(&mut flipped, j);
+                assert_ne!(hash(&flipped), header.fingerprint, "words {i} and {j}");
+            }
+        }
+        let mut flipped = bytes.clone();
+        top(&mut flipped, 0);
+        top(&mut flipped, words - 1);
+        let err = read(&mut flipped.as_slice()).unwrap_err();
+        assert_eq!(err.code(), "slab-fingerprint", "{err}");
+    }
+
+    #[test]
+    fn version_1_slabs_ask_for_a_reconvert() {
+        let mut bytes = Vec::new();
+        write(&arena(9), &mut bytes).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = read(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.code(), "slab-version");
+        assert!(err.to_string().contains("experiments convert"), "{err}");
+    }
+
+    #[test]
+    fn forged_header_fails_before_allocating() {
+        // A 72-byte file whose header declares ~2^32 entries: its first
+        // section (n = 1, two offsets) is present, so a loader trusting
+        // the header would go on to allocate ~17 GB for the second. The
+        // load must stop at the length check instead.
+        let dir = std::env::temp_dir().join(format!("sparsepipe-forged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut file = [0u8; HEADER_BYTES + 8];
+        file[0..8].copy_from_slice(&MAGIC);
+        file[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        file[16..20].copy_from_slice(&1u32.to_le_bytes());
+        file[24..32].copy_from_slice(&(u64::from(u32::MAX) - 2).to_le_bytes());
+        let path = dir.join("forged.slab");
+        std::fs::write(&path, file).unwrap();
+        let err = read_file(&path).unwrap_err();
+        assert_eq!(err.code(), "slab-truncated", "{err}");
+        // an nnz past the u32 offsets is refused by the header peek
+        file[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(&path, file).unwrap();
+        assert_eq!(read_file(&path).unwrap_err().code(), "slab-shape");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -60,6 +60,18 @@ impl TensorError {
             TensorError::Io(_) => "io",
         }
     }
+
+    /// The 1-based input line a [`TensorError::Parse`] or
+    /// [`TensorError::Format`] error points at; `None` for other variants
+    /// and for format errors raised outside any line (line 0).
+    pub fn line(&self) -> Option<usize> {
+        match self {
+            TensorError::Parse { line, .. } | TensorError::Format { line, .. } if *line > 0 => {
+                Some(*line)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for TensorError {
@@ -147,6 +159,8 @@ mod tests {
             "parse"
         );
         assert_eq!(TensorError::Io(std::io::Error::other("boom")).code(), "io");
+        assert_eq!(e.line(), Some(7));
+        assert_eq!(TensorError::Io(std::io::Error::other("boom")).line(), None);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`reorder_oracle`] — the reference GraphOrder / vanilla reorderings
 //!   and symmetric permutation the production kernels are checked
 //!   against bit for bit;
+//! * [`mm_oracle`] — the reference `lines()`-based MatrixMarket reader
+//!   the byte-level tokenizer is checked against bit for bit;
 //! * [`benchjson`] — a tiny flat-JSON recorder for `BENCH_*.json`
 //!   telemetry files (the vendored `serde_json` stand-in cannot parse,
 //!   so merging is done with a purpose-built top-level scanner).
@@ -604,6 +606,243 @@ pub mod reorder_oracle {
         CooMatrix::from_entries(m.nrows(), m.ncols(), entries)
             .expect("adjacency coordinates are in range")
             .to_csr()
+    }
+}
+
+pub mod mm_oracle {
+    //! Reference MatrixMarket reader: the `BufRead::lines()`-based
+    //! [`sparsepipe_tensor::mm`] reader the byte-level tokenizer replaced,
+    //! kept out of release builds. It allocates a `String` per line,
+    //! validates UTF-8 and splits on Unicode whitespace. The production
+    //! reader must match it bit for bit on ASCII input
+    //! (`crates/core/tests/mm_convert_differential.rs`).
+
+    use std::io::BufRead;
+
+    use sparsepipe_tensor::mm::MmHeader;
+    use sparsepipe_tensor::{CooMatrix, TensorError};
+
+    fn format_err(line: usize, code: &'static str, message: String) -> TensorError {
+        TensorError::Format {
+            code,
+            line,
+            message,
+        }
+    }
+
+    fn parse_banner(header: &str) -> Result<(bool, bool), TensorError> {
+        let header_lc = header.to_ascii_lowercase();
+        let fields: Vec<&str> = header_lc.split_whitespace().collect();
+        if fields.len() < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
+            return Err(format_err(
+                1,
+                "mm-banner",
+                format!("not a MatrixMarket header: {header:?}"),
+            ));
+        }
+        if fields[2] != "coordinate" {
+            return Err(format_err(
+                1,
+                "mm-storage",
+                format!("unsupported storage {:?} (only coordinate)", fields[2]),
+            ));
+        }
+        let pattern = match fields[3] {
+            "real" | "integer" => false,
+            "pattern" => true,
+            other => {
+                return Err(format_err(
+                    1,
+                    "mm-field",
+                    format!("unsupported field type {other:?}"),
+                ))
+            }
+        };
+        let symmetric = match fields[4] {
+            "general" => false,
+            "symmetric" => true,
+            other => {
+                return Err(format_err(
+                    1,
+                    "mm-symmetry",
+                    format!("unsupported symmetry {other:?}"),
+                ))
+            }
+        };
+        Ok((pattern, symmetric))
+    }
+
+    fn parse_tok<'a, T: std::str::FromStr>(
+        toks: &mut impl Iterator<Item = &'a str>,
+        line: usize,
+        what: &str,
+    ) -> Result<T, TensorError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let tok = toks.next().ok_or_else(|| TensorError::Parse {
+            line,
+            message: format!("missing {what}"),
+        })?;
+        tok.parse::<T>().map_err(|e| TensorError::Parse {
+            line,
+            message: format!("bad {what} {tok:?}: {e}"),
+        })
+    }
+
+    fn parse_size<'a>(
+        toks: &mut impl Iterator<Item = &'a str>,
+        line_no: usize,
+        pattern: bool,
+        symmetric: bool,
+    ) -> Result<MmHeader, TensorError> {
+        let nrows: u64 = parse_tok(toks, line_no, "nrows")?;
+        let ncols: u64 = parse_tok(toks, line_no, "ncols")?;
+        let nnz: usize = parse_tok(toks, line_no, "nnz")?;
+        if nrows > u64::from(u32::MAX) || ncols > u64::from(u32::MAX) {
+            return Err(format_err(
+                line_no,
+                "mm-size",
+                format!("matrix shape {nrows}x{ncols} exceeds u32 coordinates"),
+            ));
+        }
+        Ok(MmHeader {
+            nrows: nrows as u32,
+            ncols: ncols as u32,
+            declared_nnz: nnz,
+            pattern,
+            symmetric,
+        })
+    }
+
+    /// Reference for [`sparsepipe_tensor::mm::read_header`].
+    ///
+    /// # Errors
+    ///
+    /// As the production reader.
+    pub fn read_header<R: BufRead>(reader: R) -> Result<MmHeader, TensorError> {
+        let mut lines = reader.lines().enumerate();
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| format_err(1, "mm-banner", "empty file".into()))?;
+        let header = header?;
+        let (pattern, symmetric) = parse_banner(&header)?;
+        for (idx, line) in lines {
+            let line = line?;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('%') {
+                continue;
+            }
+            return parse_size(&mut trimmed.split_whitespace(), idx + 1, pattern, symmetric);
+        }
+        Err(format_err(2, "mm-size", "missing size line".into()))
+    }
+
+    /// Reference for [`sparsepipe_tensor::mm::stream`].
+    ///
+    /// # Errors
+    ///
+    /// As the production reader.
+    pub fn stream<R, F>(reader: R, mut visit: F) -> Result<MmHeader, TensorError>
+    where
+        R: BufRead,
+        F: FnMut(u32, u32, f64) -> Result<(), TensorError>,
+    {
+        let mut lines = reader.lines().enumerate();
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| format_err(1, "mm-banner", "empty file".into()))?;
+        let header = header?;
+        let (pattern, symmetric) = parse_banner(&header)?;
+
+        let mut parsed: Option<MmHeader> = None;
+        let mut seen: usize = 0;
+        let mut last_line = 1;
+        for (idx, line) in lines {
+            let line = line?;
+            let line_no = idx + 1;
+            last_line = line_no;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('%') {
+                continue;
+            }
+            let mut toks = trimmed.split_whitespace();
+            let Some(h) = parsed else {
+                parsed = Some(parse_size(&mut toks, line_no, pattern, symmetric)?);
+                continue;
+            };
+            if seen == h.declared_nnz {
+                return Err(format_err(
+                    line_no,
+                    "mm-excess",
+                    format!(
+                        "size line declared {} entries but the file holds more",
+                        h.declared_nnz
+                    ),
+                ));
+            }
+            let r: u64 = parse_tok(&mut toks, line_no, "row")?;
+            let c: u64 = parse_tok(&mut toks, line_no, "col")?;
+            if r == 0 || c == 0 {
+                return Err(format_err(
+                    line_no,
+                    "mm-index",
+                    "MatrixMarket coordinates are 1-based".into(),
+                ));
+            }
+            if r > u64::from(h.nrows) || c > u64::from(h.ncols) {
+                return Err(format_err(
+                    line_no,
+                    "mm-index",
+                    format!(
+                        "entry ({r}, {c}) outside the declared {}x{} shape",
+                        h.nrows, h.ncols
+                    ),
+                ));
+            }
+            let v = if pattern {
+                1.0
+            } else {
+                let tok = toks
+                    .next()
+                    .ok_or_else(|| format_err(line_no, "mm-value", "missing value".into()))?;
+                tok.parse::<f64>().map_err(|e| {
+                    format_err(line_no, "mm-value", format!("bad value {tok:?}: {e}"))
+                })?
+            };
+            let (r, c) = ((r - 1) as u32, (c - 1) as u32);
+            seen += 1;
+            visit(r, c, v)?;
+            if symmetric && r != c {
+                visit(c, r, v)?;
+            }
+        }
+        let h = parsed.ok_or_else(|| format_err(2, "mm-size", "missing size line".into()))?;
+        if seen < h.declared_nnz {
+            return Err(format_err(
+                last_line,
+                "mm-truncated",
+                format!(
+                    "size line declared {} entries, file ends after {seen}",
+                    h.declared_nnz
+                ),
+            ));
+        }
+        Ok(h)
+    }
+
+    /// Reference for [`sparsepipe_tensor::mm::read`].
+    ///
+    /// # Errors
+    ///
+    /// As the production reader.
+    pub fn read<R: BufRead>(reader: R) -> Result<CooMatrix, TensorError> {
+        let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+        let header = stream(reader, |r, c, v| {
+            entries.push((r, c, v));
+            Ok(())
+        })?;
+        CooMatrix::from_entries(header.nrows, header.ncols, entries)
     }
 }
 
