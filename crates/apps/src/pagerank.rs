@@ -125,17 +125,12 @@ mod tests {
         // iterations — the end-to-end version of the paper's §III claim.
         let m = gen::uniform(48, 48, 300, 9);
         let t = transition_matrix(&m);
-        let (csc, csr) = (t.to_csc(), t.to_csr());
+        let arena = sparsepipe_core::MatrixArena::from_coo(&t);
         let x0 = DenseVector::filled(48, 1.0 / 48.0);
-        let pass = sparsepipe_core::oei::fused_pass(
-            &csc,
-            &csr,
-            &x0,
-            |_, v| DAMPING * v + TELEPORT,
-            SemiringOp::MulAdd,
-            SemiringOp::MulAdd,
-        )
-        .unwrap();
+        let pass =
+            sparsepipe_core::oei::FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd)
+                .run(&x0, |_, v| DAMPING * v + TELEPORT)
+                .unwrap();
         // pass.y2 is the *raw* vxm of iteration 2; apply its e-wise to get
         // the iteration-2 PageRank vector.
         let x3: DenseVector = pass.y2.iter().map(|&v| DAMPING * v + TELEPORT).collect();

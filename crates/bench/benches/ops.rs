@@ -3,7 +3,7 @@
 //! e-wise VM.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparsepipe_core::oei;
+use sparsepipe_core::{oei::FusedPass, MatrixArena};
 use sparsepipe_semiring::SemiringOp;
 use sparsepipe_tensor::{gen, DenseVector};
 
@@ -24,45 +24,29 @@ fn bench_vxm_semirings(c: &mut Criterion) {
 }
 
 fn bench_fused_pass(c: &mut Criterion) {
-    let m = gen::uniform(20_000, 20_000, 200_000, 7);
-    let csc = m.to_csc();
-    let csr = m.to_csr();
+    let arena = MatrixArena::from_coo(&gen::uniform(20_000, 20_000, 200_000, 7));
     let x = DenseVector::filled(20_000, 1.0);
     c.bench_function("oei_fused_pass", |b| {
         b.iter(|| {
-            oei::fused_pass(
-                &csc,
-                &csr,
-                &x,
-                |_, v| v * 0.85 + 0.15,
-                SemiringOp::MulAdd,
-                SemiringOp::MulAdd,
-            )
-            .unwrap()
+            FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd)
+                .run(&x, |_, v| v * 0.85 + 0.15)
+                .unwrap()
         });
     });
 }
 
 fn bench_buffered_pass(c: &mut Criterion) {
-    let m = gen::uniform(20_000, 20_000, 200_000, 7);
-    let csc = m.to_csc();
-    let csr = m.to_csr();
+    let arena = MatrixArena::from_coo(&gen::uniform(20_000, 20_000, 200_000, 7));
     let x = DenseVector::filled(20_000, 1.0);
     let mut group = c.benchmark_group("oei_buffered_pass");
     group.sample_size(10);
     for (name, cap) in [("ample", 64usize << 20), ("pressured", 200_000 * 12 / 5)] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &cap, |b, &cap| {
             b.iter(|| {
-                oei::fused_pass_buffered(
-                    &csc,
-                    &csr,
-                    &x,
-                    |_, v| v * 0.85 + 0.15,
-                    SemiringOp::MulAdd,
-                    SemiringOp::MulAdd,
-                    cap,
-                )
-                .unwrap()
+                FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd)
+                    .buffer(cap)
+                    .run(&x, |_, v| v * 0.85 + 0.15)
+                    .unwrap()
             });
         });
     }

@@ -51,9 +51,9 @@
 //!                 `--matrix CODE --scale N` freezes a synthetic matrix;
 //!                 `--out FILE.slab` is required
 //!
-//! fault tolerance (routes sweeps through the isolated executor; a failed
-//! point is reported and skipped instead of aborting the run, and the
-//! process exits 2 when any point failed):
+//! fault tolerance (every sweep point runs isolated: a failed point is
+//! reported and skipped instead of aborting the run, and the process
+//! exits 2 when any point failed; none of these combine with --trace-dir):
 //! --deadline-ms N    per-point wall-clock budget
 //! --retries N        attempts beyond the first per failed point
 //! --backoff-ms N     deterministic doubling backoff base between retries
@@ -75,7 +75,6 @@ use sparsepipe_bench::cli;
 use sparsepipe_bench::error::BenchError;
 use sparsepipe_bench::executor::Executor;
 use sparsepipe_bench::experiments as exp;
-use sparsepipe_bench::fault::FaultInjector;
 use sparsepipe_bench::sweep::Sweep;
 
 fn main() -> ExitCode {
@@ -140,37 +139,32 @@ fn run() -> Result<ExitCode, BenchError> {
     let mut bound_violations = 0usize;
     let mut compile_failures = 0usize;
     let sweep = if opts.needs_sweep() {
-        if let Some(dir) = &opts.trace_dir {
-            eprintln!(
+        let sweep_opts = opts.sweep_options().map_err(BenchError::Cli)?;
+        match &sweep_opts.trace_dir {
+            Some(dir) => eprintln!(
                 "# running app x matrix sweep with tracing (streams in {}) …",
                 dir.display()
-            );
-            Some(Sweep::run_traced(ctx.clone(), &exec, dir)?)
-        } else if opts.uses_fault_tolerance() {
-            let injector = FaultInjector::from_specs(&opts.inject).map_err(BenchError::Cli)?;
-            eprintln!("# running fault-tolerant app x matrix sweep …");
-            let outcome = Sweep::run_checked(ctx.clone(), &exec, &opts.sweep_options(), &injector)?;
-            if outcome.resumed > 0 {
-                eprintln!(
-                    "# resumed {} completed point(s) from the checkpoint journal, executed {}",
-                    outcome.resumed, outcome.executed
-                );
-            }
-            sweep_failures = outcome.failures.len();
-            for failure in outcome.failures {
-                eprintln!("point failed: {failure}");
-                let mut source = std::error::Error::source(&failure);
-                while let Some(cause) = source {
-                    eprintln!("  caused by: {cause}");
-                    source = cause.source();
-                }
-                exec.record_failure(failure);
-            }
-            Some(outcome.sweep)
-        } else {
-            eprintln!("# running app x matrix sweep …");
-            Some(Sweep::run_with(ctx.clone(), &exec)?)
+            ),
+            None => eprintln!("# running app x matrix sweep …"),
         }
+        let outcome = Sweep::run(ctx.clone(), &exec, &sweep_opts)?;
+        if outcome.resumed > 0 {
+            eprintln!(
+                "# resumed {} completed point(s) from the checkpoint journal, executed {}",
+                outcome.resumed, outcome.executed
+            );
+        }
+        sweep_failures = outcome.failures.len();
+        for failure in outcome.failures {
+            eprintln!("point failed: {failure}");
+            let mut source = std::error::Error::source(&failure);
+            while let Some(cause) = source {
+                eprintln!("  caused by: {cause}");
+                source = cause.source();
+            }
+            exec.record_failure(failure);
+        }
+        Some(outcome.sweep)
     } else {
         None
     };

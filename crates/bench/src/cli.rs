@@ -107,20 +107,26 @@ impl CliOptions {
     }
 
     /// The [`SweepOptions`](crate::sweep::SweepOptions) these options
-    /// select for the fault-tolerant sweep.
-    pub fn sweep_options(&self) -> crate::sweep::SweepOptions {
-        crate::sweep::SweepOptions {
+    /// select for [`Sweep::run`](crate::sweep::Sweep::run).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed `--inject` spec's message.
+    pub fn sweep_options(&self) -> Result<crate::sweep::SweepOptions, String> {
+        Ok(crate::sweep::SweepOptions {
             deadline: self.deadline_ms.map(std::time::Duration::from_millis),
             retry: crate::fault::RetryPolicy::with_retries(self.retries, self.backoff_ms),
             checkpoint: self.checkpoint.clone(),
             resume: self.resume,
             prune_static: self.prune_static,
-        }
+            trace_dir: self.trace_dir.clone(),
+            inject: crate::fault::FaultInjector::from_specs(&self.inject)?,
+        })
     }
 
-    /// Whether any fault-tolerance flag was given (these route sweeps
-    /// through [`Sweep::run_checked`](crate::sweep::Sweep::run_checked)).
-    pub fn uses_fault_tolerance(&self) -> bool {
+    /// Whether any fault-tolerance flag was given (none of them combines
+    /// with `--trace-dir`).
+    fn uses_fault_tolerance(&self) -> bool {
         self.deadline_ms.is_some()
             || self.retries > 0
             || self.checkpoint.is_some()
@@ -604,19 +610,19 @@ mod tests {
         assert_eq!(o.prune_static, Some(2.5e9));
         assert!(
             o.uses_fault_tolerance(),
-            "pruning must route through the isolated sweep"
+            "pruning is a fault-tolerance flag (it conflicts with --trace-dir)"
         );
-        assert_eq!(o.sweep_options().prune_static, Some(2.5e9));
+        assert_eq!(o.sweep_options().unwrap().prune_static, Some(2.5e9));
         let d = parse(&args("fig14")).unwrap();
         assert_eq!(d.prune_static, None);
-        assert_eq!(d.sweep_options().prune_static, None);
+        assert_eq!(d.sweep_options().unwrap().prune_static, None);
         assert!(parse(&args("fig14 --prune-static")).is_err());
         assert!(parse(&args("fig14 --prune-static 0")).is_err());
         assert!(parse(&args("fig14 --prune-static -5")).is_err());
         assert!(parse(&args("fig14 --prune-static nan")).is_err());
         assert!(
             parse(&args("fig14 --prune-static 1e9 --trace-dir t")).is_err(),
-            "pruning conflicts with tracing like the other run_checked flags"
+            "pruning conflicts with tracing like the other fault-tolerance flags"
         );
     }
 
@@ -634,16 +640,26 @@ mod tests {
         assert!(o.resume);
         assert_eq!(o.inject.len(), 2);
         assert!(o.uses_fault_tolerance());
-        let so = o.sweep_options();
+        let so = o.sweep_options().unwrap();
         assert_eq!(so.deadline, Some(std::time::Duration::from_millis(5000)));
         assert_eq!(so.retry.max_attempts, 3);
         assert_eq!(so.retry.backoff_base_ms, 10);
         assert!(so.resume);
-        // defaults: fault tolerance off, single attempt
+        assert_eq!(so.inject.labels(), vec!["pr-ca", "cg-gy"]);
+        assert_eq!(so.trace_dir, None);
+        // defaults: fault tolerance off, single attempt, nothing injected
         let d = parse(&args("fig14")).unwrap();
         assert!(!d.uses_fault_tolerance());
-        assert_eq!(d.sweep_options().retry.max_attempts, 1);
-        assert_eq!(d.sweep_options().deadline, None);
+        let so = d.sweep_options().unwrap();
+        assert_eq!(so.retry.max_attempts, 1);
+        assert_eq!(so.deadline, None);
+        assert!(so.inject.is_empty());
+        // tracing is a sweep option too
+        let t = parse(&args("fig14 --trace-dir t")).unwrap();
+        assert_eq!(
+            t.sweep_options().unwrap().trace_dir,
+            Some(PathBuf::from("t"))
+        );
     }
 
     #[test]

@@ -360,25 +360,6 @@ pub struct ScaledDataset {
 }
 
 impl ScaledDataset {
-    /// Generates one synthetic dataset at `scale`.
-    #[deprecated(note = "use `DatasetSpec::new(id, scale).load()` — \
-                         every source goes through one admission path")]
-    pub fn load(id: MatrixId, scale: u64) -> Self {
-        Self::from_matrix(id, scale, id.spec().generate(scale))
-    }
-
-    /// Loads one matrix from `<dir>/<code>.mtx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::Dataset`] if the file is missing, malformed,
-    /// or non-square.
-    #[deprecated(note = "use `DatasetSpec::new(id, scale)\
-                         .with_source(Arc::new(MatrixMarketSource::new(dir))).load()`")]
-    pub fn load_mtx(id: MatrixId, dir: &Path, scale: u64) -> Result<Self, BenchError> {
-        MatrixMarketSource::new(dir).load(id, scale)
-    }
-
     /// Derives the reordered variant and statistics for a loaded matrix
     /// — the one constructor every [`MatrixSource`] funnels through.
     fn from_matrix(id: MatrixId, scale: u64, matrix: CooMatrix) -> Self {
@@ -398,28 +379,6 @@ impl ScaledDataset {
     /// ratio at this scale.
     pub fn buffer_bytes(&self) -> usize {
         sparsepipe_tensor::DatasetSpec::scaled_buffer_bytes(self.scale)
-    }
-}
-
-/// Where experiment matrices come from (superseded closed enum).
-#[deprecated(note = "use a `MatrixSource` (via `SourceConfig` or \
-                     `DatasetSpec::with_source`); sources are open, the enum is not")]
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub enum DataSource {
-    /// Seeded synthetic stand-ins (see `sparsepipe_tensor::datasets`).
-    Synthetic,
-    /// Real MatrixMarket files `<dir>/<code>.mtx`.
-    MatrixMarket(PathBuf),
-}
-
-#[allow(deprecated)]
-impl DataSource {
-    /// The equivalent open-world source.
-    pub fn to_source(&self) -> Arc<dyn MatrixSource> {
-        match self {
-            DataSource::Synthetic => Arc::new(SyntheticSource),
-            DataSource::MatrixMarket(dir) => Arc::new(MatrixMarketSource::new(dir.clone())),
-        }
     }
 }
 

@@ -965,7 +965,7 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
 /// Infallible in practice (failed checks are reported as `FAIL` rows, not
 /// errors); `Result` for a uniform generator signature.
 pub fn verify() -> Result<Report, BenchError> {
-    use sparsepipe_core::oei;
+    use sparsepipe_core::{oei::FusedPass, MatrixArena};
     use sparsepipe_semiring::SemiringOp;
     use sparsepipe_tensor::{gen, DenseVector};
 
@@ -1013,12 +1013,11 @@ pub fn verify() -> Result<Report, BenchError> {
         ("banded", gen::banded(90, 700, 6, 2)),
         ("power-law", gen::power_law(90, 700, 1.4, 0.4, 3)),
     ] {
-        let (csc, csr) = (matrix.to_csc(), matrix.to_csr());
+        let arena = MatrixArena::from_coo(&matrix);
         let x = DenseVector::filled(90, 0.25);
         let ew = |_: usize, v: f64| v * 0.7 + 0.2;
-        let Ok(reference) =
-            oei::fused_pass(&csc, &csr, &x, ew, SemiringOp::MulAdd, SemiringOp::MulAdd)
-        else {
+        let pass = || FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd);
+        let Ok(reference) = pass().run(&x, ew) else {
             check(
                 &mut t,
                 &mut failures,
@@ -1027,15 +1026,7 @@ pub fn verify() -> Result<Report, BenchError> {
             );
             continue;
         };
-        let wide = oei::fused_pass_subtensor(
-            &csc,
-            &csr,
-            &x,
-            ew,
-            SemiringOp::MulAdd,
-            SemiringOp::MulAdd,
-            7,
-        );
+        let wide = pass().subtensor(7).run(&x, ew);
         check(
             &mut t,
             &mut failures,
@@ -1043,15 +1034,7 @@ pub fn verify() -> Result<Report, BenchError> {
             wide.is_ok_and(|w| w.y2.max_abs_diff(&reference.y2).unwrap_or(f64::MAX) < 1e-9),
         );
         for cap in [64 << 20, matrix.nnz() * 12 / 6] {
-            let buffered = oei::fused_pass_buffered(
-                &csc,
-                &csr,
-                &x,
-                ew,
-                SemiringOp::MulAdd,
-                SemiringOp::MulAdd,
-                cap,
-            );
+            let buffered = pass().buffer(cap).run(&x, ew);
             check(
                 &mut t,
                 &mut failures,
@@ -1066,19 +1049,15 @@ pub fn verify() -> Result<Report, BenchError> {
     // 3. end-to-end: fused multi-iteration PageRank == interpreter
     let graph = gen::power_law(64, 500, 1.0, 0.4, 5);
     let transition = sparsepipe_apps::pagerank::transition_matrix(&graph);
-    let (csc, csr) = (transition.to_csc(), transition.to_csr());
     let x0 = DenseVector::filled(64, 1.0 / 64.0);
     let d = sparsepipe_apps::pagerank::DAMPING;
-    let fused = oei::run_fused_buffered(
-        &csc,
-        &csr,
-        &x0,
-        |_, v| d * v + 0.15,
+    let fused = FusedPass::new(
+        &MatrixArena::from_coo(&transition),
         SemiringOp::MulAdd,
         SemiringOp::MulAdd,
-        6,
-        transition.nnz() * 12 / 4,
-    );
+    )
+    .buffer(transition.nnz() * 12 / 4)
+    .iterate(&x0, |_, v| d * v + 0.15, 6);
     let app = sparsepipe_apps::pagerank::app(6);
     let via_interp = sparsepipe_frontend::interp::run(&app.graph, &app.bindings(&graph), 6);
     check(
@@ -1773,7 +1752,11 @@ mod tests {
     use crate::datasets::MatrixSet;
 
     fn tiny() -> Sweep {
-        Sweep::run(DataContext::synthetic(MatrixSet::Quick, 512))
+        let ctx = DataContext::synthetic(MatrixSet::Quick, 512);
+        let outcome = Sweep::run(ctx, &Executor::new(0), &sweep::SweepOptions::default())
+            .expect("synthetic datasets load");
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.sweep
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   back off between them. The schedule is a pure function of the
 //!   attempt number (no wall-clock randomness), so retried runs stay
 //!   byte-identical for every successful point at any `--jobs N`.
-//! * [`FaultHook`] / [`FaultInjector`] — a deterministic, seedable fault
-//!   source consulted before each attempt, used by the integration tests
-//!   and the CI `fault-smoke` job to prove isolation, retry, and resume
-//!   actually work. Production sweeps run with [`NoFaults`].
+//! * [`FaultInjector`] — a deterministic, seedable fault source
+//!   consulted before each attempt, used by the integration tests and
+//!   the CI `fault-smoke` job to prove isolation, retry, and resume
+//!   actually work. Production sweeps run with the default, empty
+//!   injector.
 
 use crate::error::{BenchError, PointErrorKind, PointKey};
 
@@ -72,7 +73,7 @@ impl RetryPolicy {
     }
 }
 
-/// What a fault hook can make an attempt do.
+/// What a [`FaultInjector`] can make an attempt do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
     /// Panic inside the point's evaluation (exercises `catch_unwind`).
@@ -84,26 +85,6 @@ pub enum InjectedFault {
     Transient,
 }
 
-/// A deterministic fault source consulted once per (point, attempt).
-///
-/// Implementations must be pure functions of their construction state and
-/// the `(key, attempt)` arguments — the executor may consult them from
-/// any worker thread in any order.
-pub trait FaultHook: Sync {
-    /// The fault to inject into this attempt, if any.
-    fn inject(&self, key: &PointKey, attempt: u32) -> Option<InjectedFault>;
-}
-
-/// The production hook: never injects anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultHook for NoFaults {
-    fn inject(&self, _key: &PointKey, _attempt: u32) -> Option<InjectedFault> {
-        None
-    }
-}
-
 /// One injection rule: fault `kind` fires at the point labelled
 /// `app-matrix` on attempts `1..=fail_attempts`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +94,9 @@ struct FaultRule {
     fail_attempts: u32,
 }
 
-/// A rule-based [`FaultHook`] for tests and the CI smoke job.
+/// A deterministic, rule-based fault source for tests and the CI smoke
+/// job, consulted once per (point, attempt). The default injector has no
+/// rules and never injects anything.
 ///
 /// Rules are parsed from `--inject` specs of the form
 /// `<kind>@<app>-<matrix>[:<attempts>]`, e.g. `panic@pr-ca`,
@@ -127,11 +110,6 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector with no rules (equivalent to [`NoFaults`]).
-    pub fn new() -> Self {
-        FaultInjector::default()
-    }
-
     /// Parses one `--inject` spec and adds its rule.
     ///
     /// # Errors
@@ -186,7 +164,7 @@ impl FaultInjector {
     ///
     /// Returns the first malformed spec's message.
     pub fn from_specs<S: AsRef<str>>(specs: &[S]) -> Result<Self, String> {
-        let mut inj = FaultInjector::new();
+        let mut inj = FaultInjector::default();
         for spec in specs {
             inj.add_spec(spec.as_ref())?;
         }
@@ -208,7 +186,7 @@ impl FaultInjector {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let mut inj = FaultInjector::new();
+        let mut inj = FaultInjector::default();
         if labels.is_empty() {
             return inj;
         }
@@ -244,10 +222,11 @@ impl FaultInjector {
     pub fn labels(&self) -> Vec<&str> {
         self.rules.iter().map(|r| r.label.as_str()).collect()
     }
-}
 
-impl FaultHook for FaultInjector {
-    fn inject(&self, key: &PointKey, attempt: u32) -> Option<InjectedFault> {
+    /// The fault to inject into this attempt, if any — a pure function
+    /// of the rules and `(key, attempt)`, so any worker thread may ask
+    /// in any order.
+    pub fn inject(&self, key: &PointKey, attempt: u32) -> Option<InjectedFault> {
         let label = key.label();
         self.rules
             .iter()
@@ -317,7 +296,9 @@ mod tests {
         );
         assert_eq!(inj.inject(&key("sssp", "bu"), 3), None, "recovers");
         assert_eq!(inj.inject(&key("cg", "ca"), 1), None);
-        assert!(NoFaults.inject(&key("pr", "ca"), 1).is_none());
+        assert!(FaultInjector::default()
+            .inject(&key("pr", "ca"), 1)
+            .is_none());
     }
 
     #[test]

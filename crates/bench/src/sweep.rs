@@ -21,7 +21,7 @@ use crate::checkpoint::Journal;
 use crate::datasets::{DataContext, ScaledDataset};
 use crate::error::{BenchError, PointError, PointKey};
 use crate::executor::{Executor, PointOutcome, PointRecord, TraceCounters};
-use crate::fault::{FaultHook, InjectedFault, RetryPolicy};
+use crate::fault::{FaultInjector, InjectedFault, RetryPolicy};
 
 /// All evaluated systems' results for one (app, matrix) pair.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -134,7 +134,9 @@ pub struct Sweep {
     pub entries: Vec<Entry>,
 }
 
-/// Fault-tolerance knobs for [`Sweep::run_checked`].
+/// The knobs of [`Sweep::run`]. The default is a plain sweep: one
+/// attempt per point, no deadline, no journal, no pruning, no tracing,
+/// no injected faults.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     /// Per-point wall-clock budget (`--deadline-ms`); `None` is unbounded.
@@ -154,9 +156,15 @@ pub struct SweepOptions {
     /// is a proven lower bound, a pruned point could never have come in
     /// under budget — in-budget points are never pruned.
     pub prune_static: Option<f64>,
+    /// Trace directory (`--trace-dir`): trace and audit every point and
+    /// write its stream there; `None` runs untraced.
+    pub trace_dir: Option<std::path::PathBuf>,
+    /// Deterministic fault injection (`--inject`); the default injects
+    /// nothing.
+    pub inject: FaultInjector,
 }
 
-/// What [`Sweep::run_checked`] produces: the (possibly partial) sweep
+/// What [`Sweep::run`] produces: the (possibly partial) sweep
 /// plus a structured account of what failed and what was skipped.
 #[derive(Debug)]
 pub struct SweepOutcome {
@@ -502,151 +510,47 @@ fn evaluate_with_sink<S: TraceSink>(
 }
 
 impl Sweep {
-    /// Runs the full sweep on a machine-wide worker pool (convenience for
-    /// tests and callers without an [`Executor`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dataset fails to load or an app fails to compile —
-    /// impossible for the built-in synthetic contexts.
-    pub fn run(context: DataContext) -> Sweep {
-        Sweep::run_with(context, &Executor::new(0)).expect("built-in sweep points cannot fail")
-    }
-
-    /// Runs the full sweep: every (app, matrix) point fanned across
-    /// `exec`'s worker pool, entries reassembled in deterministic
+    /// Runs the app × matrix sweep: every (app, matrix) point fanned
+    /// across `exec`'s worker pool, entries reassembled in deterministic
     /// (matrix-major, registry-order) order, one telemetry record per
     /// point.
     ///
-    /// # Errors
-    ///
-    /// Returns the first (in point order) [`BenchError`] from dataset
-    /// loading, app compilation, or simulation.
-    pub fn run_with(context: DataContext, exec: &Executor) -> Result<Sweep, BenchError> {
-        let datasets: Vec<Arc<ScaledDataset>> =
-            context.load(exec)?.into_iter().map(Arc::new).collect();
-        let apps: Arc<[StaApp]> = registry::shared();
-        let scale = context.scale;
-        let points: Vec<(Arc<ScaledDataset>, &StaApp)> = datasets
-            .iter()
-            .flat_map(|d| apps.iter().map(move |a| (Arc::clone(d), a)))
-            .collect();
-        let cache = Arc::clone(exec.cache());
-        let results = exec.run(&points, |(dataset, app)| {
-            EvalRequest::new(app, dataset, scale)
-                .cache(&cache)
-                .run()
-                .map(|o| o.evaluation)
-        });
-        let mut entries = Vec::with_capacity(points.len());
-        for (result, (dataset, app)) in results.into_iter().zip(&points) {
-            let ev = result?;
-            exec.record(
-                PointRecord::from_telemetry(
-                    format!("sweep:{}-{}", app.name, dataset.id.code()),
-                    &ev.telemetry,
-                )
-                .with_mxm(ev.mxm),
-            );
-            entries.push(ev.entry);
-        }
-        Ok(Sweep { context, entries })
-    }
-
-    /// [`Sweep::run_with`], with every point's iso-GPU simulation traced:
-    /// each point's stream is audited bit-for-bit against its report,
-    /// written to `trace_dir` as `sweep-<app>-<matrix>.trace.jsonl`, and
-    /// summarized into the point's telemetry record
-    /// ([`TraceCounters`]).
-    ///
-    /// The entries produced are identical to an untraced sweep's —
-    /// tracing only observes.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Sweep::run_with`] returns, plus [`BenchError::Trace`]
-    /// on an audit mismatch and [`BenchError::Io`] if a trace file cannot
-    /// be written.
-    pub fn run_traced(
-        context: DataContext,
-        exec: &Executor,
-        trace_dir: &std::path::Path,
-    ) -> Result<Sweep, BenchError> {
-        std::fs::create_dir_all(trace_dir).map_err(|e| BenchError::Io {
-            path: trace_dir.to_path_buf(),
-            source: e,
-        })?;
-        let datasets: Vec<Arc<ScaledDataset>> =
-            context.load(exec)?.into_iter().map(Arc::new).collect();
-        let apps: Arc<[StaApp]> = registry::shared();
-        let scale = context.scale;
-        let points: Vec<(Arc<ScaledDataset>, &StaApp)> = datasets
-            .iter()
-            .flat_map(|d| apps.iter().map(move |a| (Arc::clone(d), a)))
-            .collect();
-        let cache = Arc::clone(exec.cache());
-        let results = exec.run(&points, |(dataset, app)| {
-            EvalRequest::new(app, dataset, scale)
-                .cache(&cache)
-                .trace(MemorySink::new())
-                .run()
-        });
-        let mut entries = Vec::with_capacity(points.len());
-        for (result, (dataset, app)) in results.into_iter().zip(&points) {
-            let outcome = result?;
-            let (ev, sink) = (
-                outcome.evaluation,
-                outcome.trace.expect("traced request returns its sink"),
-            );
-            let path = trace_dir.join(format!(
-                "sweep-{}-{}.trace.jsonl",
-                app.name,
-                dataset.id.code()
-            ));
-            jsonl::write_events(&path, sink.events()).map_err(|e| BenchError::Io {
-                path: path.clone(),
-                source: e,
-            })?;
-            exec.record(
-                PointRecord::from_telemetry(
-                    format!("sweep:{}-{}", app.name, dataset.id.code()),
-                    &ev.telemetry,
-                )
-                .with_trace(trace_counters(sink.events()))
-                .with_mxm(ev.mxm),
-            );
-            entries.push(ev.entry);
-        }
-        Ok(Sweep { context, entries })
-    }
-
-    /// [`Sweep::run_with`], hardened for long unattended runs: every
-    /// point is isolated ([`Executor::run_isolated`]), retried on
-    /// `opts.retry`'s schedule, bounded by `opts.deadline`, and — when a
-    /// checkpoint journal is configured — persisted as soon as it
-    /// completes, so a killed sweep resumes where it left off.
-    ///
-    /// A point that exhausts its attempts does **not** fail the sweep: it
+    /// Every point is isolated ([`Executor::run_isolated`]): it is
+    /// retried on `opts.retry`'s schedule, bounded by `opts.deadline`,
+    /// and — when a checkpoint journal is configured — persisted as soon
+    /// as it completes, so a killed sweep resumes where it left off. A
+    /// point that exhausts its attempts does **not** fail the sweep: it
     /// is reported in [`SweepOutcome::failures`] (submission order) and
     /// its entry is simply absent. Successful points are byte-identical
-    /// to an unhardened sweep's at any `--jobs N`, and a resumed sweep's
-    /// entries are byte-identical to an uninterrupted one's (the journal
-    /// digest-checks every restored record to enforce this).
+    /// at any `--jobs N` and under any combination of options, and a
+    /// resumed sweep's entries are byte-identical to an uninterrupted
+    /// one's (the journal digest-checks every restored record to enforce
+    /// this).
     ///
-    /// `injector` deterministically perturbs attempts for the fault
-    /// integration tests and the CI smoke job; production callers pass
-    /// [`crate::fault::NoFaults`].
+    /// With `opts.trace_dir`, every point's iso-GPU simulation is traced:
+    /// the stream is audited bit-for-bit against the point's report,
+    /// written to the directory as `sweep-<app>-<matrix>.trace.jsonl`,
+    /// and summarized into the point's telemetry record
+    /// ([`TraceCounters`]). `opts.inject` deterministically perturbs
+    /// attempts for the fault integration tests and the CI smoke job;
+    /// the default injects nothing.
     ///
     /// # Errors
     ///
-    /// Dataset loading and checkpoint journal failures remain hard errors
-    /// — they compromise the whole sweep, not one point.
-    pub fn run_checked(
+    /// Dataset loading, checkpoint journal, and trace-file write failures
+    /// remain hard errors — they compromise the whole sweep, not one
+    /// point.
+    pub fn run(
         context: DataContext,
         exec: &Executor,
         opts: &SweepOptions,
-        injector: &dyn FaultHook,
     ) -> Result<SweepOutcome, BenchError> {
+        if let Some(dir) = &opts.trace_dir {
+            std::fs::create_dir_all(dir).map_err(|e| BenchError::Io {
+                path: dir.clone(),
+                source: e,
+            })?;
+        }
         let datasets: Vec<Arc<ScaledDataset>> =
             context.load(exec)?.into_iter().map(Arc::new).collect();
         let apps: Arc<[StaApp]> = registry::shared();
@@ -663,7 +567,6 @@ impl Sweep {
                 scale,
             })
             .collect();
-
         // Restore journaled points, then open (or start) the journal.
         let mut journal = None;
         let mut slots: Vec<Option<Entry>> = (0..points.len()).map(|_| None).collect();
@@ -757,7 +660,7 @@ impl Sweep {
             |&i, attempt| {
                 let (dataset, app) = &points[i];
                 let key = &keys[i];
-                match injector.inject(key, attempt) {
+                match opts.inject.inject(key, attempt) {
                     Some(InjectedFault::Panic) => panic!("injected panic at {key}"),
                     Some(InjectedFault::Timeout) => {
                         return Err(BenchError::Sim {
@@ -780,14 +683,17 @@ impl Sweep {
                 if let Some(budget) = opts.deadline {
                     request = request.deadline(budget);
                 }
-                request.run().map(|o| o.evaluation)
+                if opts.trace_dir.is_some() {
+                    request = request.trace(MemorySink::new());
+                }
+                request.run()
             },
             |w, outcome| {
                 // Journal completions as they land, so a killed sweep
                 // keeps every finished point.
                 if let (Some(j), PointOutcome::Ok { value, .. }) = (&mut journal, outcome) {
                     if journal_err.is_none() {
-                        if let Err(e) = j.append(&keys[work[w]], &value.entry) {
+                        if let Err(e) = j.append(&keys[work[w]], &value.evaluation.entry) {
                             journal_err = Some(e);
                         }
                     }
@@ -805,15 +711,25 @@ impl Sweep {
             let (dataset, app) = &points[i];
             match outcome {
                 PointOutcome::Ok { value, attempts } => {
-                    exec.record(
-                        PointRecord::from_telemetry(
-                            format!("sweep:{}-{}", app.name, dataset.id.code()),
-                            &value.telemetry,
-                        )
-                        .with_mxm(value.mxm)
-                        .with_attempts(attempts),
+                    let ev = value.evaluation;
+                    let mut record = PointRecord::from_telemetry(
+                        format!("sweep:{}-{}", app.name, dataset.id.code()),
+                        &ev.telemetry,
                     );
-                    slots[i] = Some(value.entry);
+                    if let (Some(dir), Some(sink)) = (&opts.trace_dir, value.trace) {
+                        let path = dir.join(format!(
+                            "sweep-{}-{}.trace.jsonl",
+                            app.name,
+                            dataset.id.code()
+                        ));
+                        jsonl::write_events(&path, sink.events()).map_err(|e| BenchError::Io {
+                            path: path.clone(),
+                            source: e,
+                        })?;
+                        record = record.with_trace(trace_counters(sink.events()));
+                    }
+                    exec.record(record.with_mxm(ev.mxm).with_attempts(attempts));
+                    slots[i] = Some(ev.entry);
                 }
                 PointOutcome::Failed(e) => failures.push(e),
             }
@@ -858,10 +774,17 @@ mod tests {
     use super::*;
     use crate::datasets::MatrixSet;
 
+    /// A sweep that must complete: every point succeeds.
+    fn complete(outcome: SweepOutcome) -> Sweep {
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.sweep
+    }
+
     fn tiny_sweep() -> Sweep {
         // scale 128 keeps matrices non-degenerate (the per-step latency
         // floor dominates below ~1k non-zeros and distorts every ratio)
-        Sweep::run(DataContext::synthetic(MatrixSet::Quick, 128))
+        let ctx = DataContext::synthetic(MatrixSet::Quick, 128);
+        complete(Sweep::run(ctx, &Executor::new(0), &SweepOptions::default()).unwrap())
     }
 
     #[test]
@@ -876,7 +799,8 @@ mod tests {
     #[test]
     fn sweep_records_one_telemetry_point_per_pair() {
         let exec = Executor::new(2);
-        let s = Sweep::run_with(DataContext::synthetic(MatrixSet::Quick, 128), &exec).unwrap();
+        let ctx = DataContext::synthetic(MatrixSet::Quick, 128);
+        let s = complete(Sweep::run(ctx, &exec, &SweepOptions::default()).unwrap());
         let t = exec.finish();
         assert_eq!(t.points, s.entries.len());
         assert!(t.sim_steps_total > 0);
@@ -890,8 +814,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("sparsepipe-traced-sweep-{}", std::process::id()));
         let exec = Executor::new(2);
-        let traced =
-            Sweep::run_traced(DataContext::synthetic(MatrixSet::Quick, 128), &exec, &dir).unwrap();
+        let opts = SweepOptions {
+            trace_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        };
+        let ctx = DataContext::synthetic(MatrixSet::Quick, 128);
+        let traced = complete(Sweep::run(ctx, &exec, &opts).unwrap());
         let untraced = tiny_sweep();
         assert_eq!(traced.entries.len(), untraced.entries.len());
         for (t, u) in traced.entries.iter().zip(&untraced.entries) {
@@ -926,13 +854,8 @@ mod tests {
         let mut reference: Option<(Vec<Entry>, Vec<crate::executor::PrunedPoint>)> = None;
         for jobs in [1, 4] {
             let exec = Executor::new(jobs);
-            let outcome = Sweep::run_checked(
-                DataContext::synthetic(MatrixSet::Quick, 128),
-                &exec,
-                &opts,
-                &crate::fault::NoFaults,
-            )
-            .unwrap();
+            let outcome =
+                Sweep::run(DataContext::synthetic(MatrixSet::Quick, 128), &exec, &opts).unwrap();
             assert!(outcome.failures.is_empty());
             assert!(
                 !outcome.pruned.is_empty() && outcome.pruned.len() < baseline.entries.len(),

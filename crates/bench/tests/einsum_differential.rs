@@ -25,7 +25,7 @@ use sparsepipe_apps::{registry, StaApp};
 use sparsepipe_bench::datasets::DatasetSpec;
 use sparsepipe_bench::einsum_corpus;
 use sparsepipe_bench::sweep::EvalRequest;
-use sparsepipe_core::{oei, MatrixArena, MxmRequest, SparsepipeConfig};
+use sparsepipe_core::{oei::FusedPass, MatrixArena, MxmRequest, SparsepipeConfig};
 use sparsepipe_frontend::einsum;
 use sparsepipe_frontend::interp::{self, Bindings, Value};
 use sparsepipe_frontend::{DataflowGraph, OpKind, TensorId, TensorRole};
@@ -104,8 +104,9 @@ fn vector_of<'a>(
 /// `y1` of a fused OEI pass with an identity e-wise stage is exactly the
 /// OS-core `vxm` the simulator models.
 fn engine_vxm(m: &CscMatrix, x: &DenseVector, sr: SemiringOp) -> DenseVector {
-    oei::fused_pass(m, &m.to_csr(), x, |_, v| v, sr, sr)
-        .expect("corpus operands are square")
+    FusedPass::new(&MatrixArena::from_parts(m, &m.to_csr()), sr, sr)
+        .run(x, |_, v| v)
+        .expect("operand length matches")
         .y1
 }
 

@@ -1,8 +1,8 @@
 //! End-to-end fault-tolerance acceptance suite (`DESIGN.md` §12).
 //!
-//! Every test drives [`Sweep::run_checked`] — the same path the
-//! `experiments` binary takes under `--retries`/`--checkpoint`/`--inject`
-//! — over the Quick matrix set and checks the two properties the fault
+//! Every test drives [`Sweep::run`] — the one path every `experiments`
+//! sweep takes, with `--retries`/`--checkpoint`/`--inject` as options —
+//! over the Quick matrix set and checks the two properties the fault
 //! model promises:
 //!
 //! 1. **Isolation**: a failure (panic, timeout, error) at one point is
@@ -19,7 +19,7 @@ use std::time::Duration;
 use sparsepipe_bench::datasets::{DataContext, MatrixSet};
 use sparsepipe_bench::error::PointErrorKind;
 use sparsepipe_bench::executor::Executor;
-use sparsepipe_bench::fault::{FaultInjector, NoFaults, RetryPolicy};
+use sparsepipe_bench::fault::{FaultInjector, RetryPolicy};
 use sparsepipe_bench::sweep::{Entry, Sweep, SweepOptions};
 
 const SCALE: u64 = 256;
@@ -47,8 +47,7 @@ fn temp_journal(tag: &str) -> PathBuf {
 #[test]
 fn an_injected_panic_spares_every_other_point_at_any_job_count() {
     let exec = Executor::new(1);
-    let clean = Sweep::run_checked(context(), &exec, &SweepOptions::default(), &NoFaults)
-        .expect("clean sweep runs");
+    let clean = Sweep::run(context(), &exec, &SweepOptions::default()).expect("clean sweep runs");
     assert!(clean.failures.is_empty());
     assert_eq!(clean.sweep.entries.len(), POINTS);
 
@@ -56,8 +55,11 @@ fn an_injected_panic_spares_every_other_point_at_any_job_count() {
     std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
     for jobs in [1usize, 4] {
         let exec = Executor::new(jobs);
-        let injector = FaultInjector::from_specs(&["panic@pr-ca"]).unwrap();
-        let outcome = Sweep::run_checked(context(), &exec, &SweepOptions::default(), &injector)
+        let opts = SweepOptions {
+            inject: FaultInjector::from_specs(&["panic@pr-ca"]).unwrap(),
+            ..SweepOptions::default()
+        };
+        let outcome = Sweep::run(context(), &exec, &opts)
             .expect("an injected panic must not abort the sweep");
 
         assert_eq!(outcome.failures.len(), 1, "exactly one point fails");
@@ -94,18 +96,16 @@ fn an_injected_panic_spares_every_other_point_at_any_job_count() {
 #[test]
 fn transient_faults_recover_within_the_retry_budget_without_a_trace() {
     let exec = Executor::new(1);
-    let clean = Sweep::run_checked(context(), &exec, &SweepOptions::default(), &NoFaults)
-        .expect("clean sweep runs");
+    let clean = Sweep::run(context(), &exec, &SweepOptions::default()).expect("clean sweep runs");
 
     // pr-ca fails its first two attempts, succeeds on the third.
-    let injector = FaultInjector::from_specs(&["transient@pr-ca:2"]).unwrap();
     let opts = SweepOptions {
         retry: RetryPolicy::with_retries(2, 0),
+        inject: FaultInjector::from_specs(&["transient@pr-ca:2"]).unwrap(),
         ..SweepOptions::default()
     };
     let exec = Executor::new(1);
-    let outcome =
-        Sweep::run_checked(context(), &exec, &opts, &injector).expect("retried sweep runs");
+    let outcome = Sweep::run(context(), &exec, &opts).expect("retried sweep runs");
     assert!(
         outcome.failures.is_empty(),
         "two transient faults must be absorbed by two retries: {:?}",
@@ -134,13 +134,12 @@ fn transient_faults_recover_within_the_retry_budget_without_a_trace() {
 #[test]
 fn an_injected_timeout_is_reported_as_a_deadline_failure() {
     let exec = Executor::new(2);
-    let injector = FaultInjector::from_specs(&["timeout@sssp-bu"]).unwrap();
     let opts = SweepOptions {
         deadline: Some(Duration::from_millis(120_000)),
+        inject: FaultInjector::from_specs(&["timeout@sssp-bu"]).unwrap(),
         ..SweepOptions::default()
     };
-    let outcome =
-        Sweep::run_checked(context(), &exec, &opts, &injector).expect("timeout must not abort");
+    let outcome = Sweep::run(context(), &exec, &opts).expect("timeout must not abort");
     assert_eq!(outcome.sweep.entries.len(), POINTS - 1);
     assert_eq!(outcome.failures.len(), 1);
     let failure = &outcome.failures[0];
@@ -162,8 +161,7 @@ fn a_killed_sweep_resumes_to_a_bitwise_identical_result() {
         ..SweepOptions::default()
     };
     let exec = Executor::new(2);
-    let reference =
-        Sweep::run_checked(context(), &exec, &opts, &NoFaults).expect("checkpointed sweep runs");
+    let reference = Sweep::run(context(), &exec, &opts).expect("checkpointed sweep runs");
     assert!(reference.failures.is_empty());
     let reference_json = sweep_json(&reference.sweep);
 
@@ -186,7 +184,7 @@ fn a_killed_sweep_resumes_to_a_bitwise_identical_result() {
         ..SweepOptions::default()
     };
     let exec = Executor::new(2);
-    let resumed = Sweep::run_checked(context(), &exec, &opts, &NoFaults).expect("resume runs");
+    let resumed = Sweep::run(context(), &exec, &opts).expect("resume runs");
     assert!(resumed.failures.is_empty());
     assert_eq!(resumed.resumed, 12);
     assert_eq!(resumed.executed, POINTS - 12);
@@ -194,7 +192,7 @@ fn a_killed_sweep_resumes_to_a_bitwise_identical_result() {
 
     // The journal is whole again: a second resume re-runs nothing.
     let exec = Executor::new(1);
-    let replayed = Sweep::run_checked(context(), &exec, &opts, &NoFaults).expect("replay runs");
+    let replayed = Sweep::run(context(), &exec, &opts).expect("replay runs");
     assert_eq!(replayed.resumed, POINTS);
     assert_eq!(replayed.executed, 0);
     assert_eq!(sweep_json(&replayed.sweep), reference_json);

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use sparsepipe_bench::datasets::{DataContext, MatrixSet};
 use sparsepipe_bench::executor::Executor;
 use sparsepipe_bench::experiments;
-use sparsepipe_bench::sweep::Sweep;
+use sparsepipe_bench::sweep::{Sweep, SweepOptions};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -45,8 +45,14 @@ fn figure_renders_match_golden_snapshots() {
     // Quick set (3 matrices) × 15 apps at scale 64: small enough to run
     // in a unit test, large enough that every figure has real series.
     let exec = Executor::new(0);
-    let sweep = Sweep::run_with(DataContext::synthetic(MatrixSet::Quick, 64), &exec)
-        .expect("built-in quick sweep cannot fail");
+    let outcome = Sweep::run(
+        DataContext::synthetic(MatrixSet::Quick, 64),
+        &exec,
+        &SweepOptions::default(),
+    )
+    .expect("built-in quick datasets load");
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    let sweep = outcome.sweep;
     for (name, report) in [
         ("fig14.txt", experiments::fig14(&sweep)),
         ("fig16.txt", experiments::fig16(&sweep)),
@@ -141,4 +147,15 @@ fn analyze_report_matches_golden_snapshot() {
         .next()
         .expect("render contains the json path line");
     check("analyze.txt", stable);
+}
+
+#[test]
+fn verify_report_matches_golden_snapshot() {
+    // The functional self-check battery on fixed seeded matrices: every
+    // app interprets and classifies, the OEI executors agree across
+    // schedules and buffer capacities, and fused PageRank matches the
+    // interpreter. The rendered report pins every check's name and
+    // verdict, so a changed executor API cannot silently drop a row.
+    let report = experiments::verify().expect("verify renders");
+    check("verify.txt", &report.render());
 }

@@ -5,13 +5,15 @@
 use sparsepipe_bench::datasets::{DataContext, MatrixSet};
 use sparsepipe_bench::executor::Executor;
 use sparsepipe_bench::experiments;
-use sparsepipe_bench::sweep::Sweep;
+use sparsepipe_bench::sweep::{Sweep, SweepOptions};
 
 fn sweep_with(jobs: usize) -> (Sweep, sparsepipe_bench::executor::BenchTelemetry) {
     let exec = Executor::new(jobs);
     let ctx = DataContext::synthetic(MatrixSet::Quick, 512);
-    let sweep = Sweep::run_with(ctx, &exec).expect("synthetic sweep points cannot fail");
-    (sweep, exec.finish())
+    let outcome =
+        Sweep::run(ctx, &exec, &SweepOptions::default()).expect("synthetic datasets load");
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    (outcome.sweep, exec.finish())
 }
 
 #[test]

@@ -7,17 +7,26 @@
 use sparsepipe_bench::datasets::{DataContext, MatrixSet};
 use sparsepipe_bench::executor::Executor;
 use sparsepipe_bench::experiments as exp;
-use sparsepipe_bench::sweep::Sweep;
+use sparsepipe_bench::sweep::{Sweep, SweepOptions};
 
 #[test]
 fn untraced_sweep_output_is_byte_identical_to_traced() {
     let ctx = DataContext::synthetic(MatrixSet::Quick, 128);
-    let untraced = Sweep::run_with(ctx.clone(), &Executor::new(1)).unwrap();
+    let complete = |outcome: sparsepipe_bench::sweep::SweepOutcome| {
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.sweep
+    };
+    let untraced =
+        complete(Sweep::run(ctx.clone(), &Executor::new(1), &SweepOptions::default()).unwrap());
     let dir = std::env::temp_dir().join(format!(
         "sparsepipe-untraced-identical-{}",
         std::process::id()
     ));
-    let traced = Sweep::run_traced(ctx, &Executor::new(2), &dir).unwrap();
+    let opts = SweepOptions {
+        trace_dir: Some(dir.clone()),
+        ..SweepOptions::default()
+    };
+    let traced = complete(Sweep::run(ctx, &Executor::new(2), &opts).unwrap());
 
     // The raw sweep JSON (everything the tables are derived from).
     let a = serde_json::to_string_pretty(&untraced).unwrap();

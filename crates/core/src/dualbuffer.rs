@@ -30,16 +30,17 @@
 //! column, and CSR residency is a [`RowSet`] bitset plus a contiguous
 //! stored window `[win_lo, win_hi)` of absolute arena positions per row —
 //! no per-element container traffic on the hot path. The pre-arena
-//! `BTreeMap` implementation survives as [`legacy::LegacyDualBuffer`]
-//! behind the `legacy-dualbuffer` feature; it is the oracle the
+//! `BTreeMap` implementation lives on, test-only, in
+//! `sparsepipe_testutil::dualbuffer_oracle`; it is the oracle the
 //! differential harness (`tests/dualbuffer_differential.rs`) replays
-//! against, asserting identical stats and event streams. DESIGN.md §11
-//! documents the layout and the window-contiguity argument that makes
-//! the flat representation exact.
+//! against, asserting identical stats and event streams.
+//! DESIGN.md §11 documents the layout and the window-contiguity argument
+//! that makes the flat representation exact.
 //!
-//! [`crate::oei::fused_pass_buffered`] drives this structure through a
-//! full OEI pass, producing both the functional result *and* a traffic
-//! trace that the tests cross-validate against the abstract timing model.
+//! [`FusedPass::buffer`](crate::oei::FusedPass::buffer) drives this
+//! structure through a full OEI pass, producing both the functional
+//! result *and* a traffic trace that the tests cross-validate against
+//! the abstract timing model.
 
 use std::ops::Range;
 
@@ -432,534 +433,6 @@ impl<'a, S: TraceSink> DualBuffer<'a, S> {
     /// Is a reservation present for `row`?
     pub fn has_reservation(&self, row: u32) -> bool {
         self.reserved.contains(row)
-    }
-}
-
-/// The pre-arena `BTreeMap` implementation, kept verbatim behind the
-/// `legacy-dualbuffer` feature as the oracle for the differential
-/// harness: same statistics, same trace-event contract, element payloads
-/// owned per container instead of borrowed from an arena.
-#[cfg(feature = "legacy-dualbuffer")]
-pub mod legacy {
-    use std::collections::BTreeMap;
-
-    use sparsepipe_trace::{NullSink, PipeStage, TraceEvent, TraceSink, TrafficClass, WHOLE_ROW};
-
-    use super::{DualBufferStats, ELEM_BYTES};
-
-    /// Per-row CSR-space state.
-    #[derive(Debug, Clone)]
-    struct RowSpace {
-        /// Total non-zeros of this row (the reservation size).
-        reserved_elems: usize,
-        /// Entries stored so far, in ascending column order: `(col, val)`.
-        stored: Vec<(u32, f64)>,
-        /// How many stored entries the IS core has consumed.
-        consumed: usize,
-    }
-
-    impl RowSpace {
-        fn fully_consumed(&self) -> bool {
-            self.consumed == self.reserved_elems
-        }
-    }
-
-    /// The original dual-storage buffer: CSC space + CSR space sharing
-    /// one capacity, on `BTreeMap`s with owned element payloads.
-    ///
-    /// Kept as the differential oracle — its observable behaviour
-    /// (statistics, event streams, returned data) defines correctness
-    /// for the arena-backed [`DualBuffer`](super::DualBuffer).
-    #[derive(Debug)]
-    pub struct LegacyDualBuffer<S: TraceSink = NullSink> {
-        capacity_bytes: usize,
-        repack_threshold: f64,
-        /// CSC space: fetched, not-yet-consumed columns.
-        csc_cols: BTreeMap<u32, Vec<(u32, f64)>>,
-        csc_bytes: usize,
-        /// CSR space: per-row reserved regions (keyed by row, so
-        /// highest-row-first eviction is a `last_key_value`).
-        csr_rows: BTreeMap<u32, RowSpace>,
-        /// Reserved (not merely stored) CSR bytes — reservation is what
-        /// occupies space, per the paper's design.
-        csr_reserved_bytes: usize,
-        /// Bytes inside reservations already freed by consumption but not
-        /// yet reclaimed (awaiting repack).
-        fragmented_bytes: usize,
-        stats: DualBufferStats,
-        sink: S,
-    }
-
-    impl LegacyDualBuffer {
-        /// Creates an untraced buffer with the given capacity and repack
-        /// threshold (fraction of occupied space that may be fragmentation
-        /// before a repack triggers).
-        pub fn new(capacity_bytes: usize, repack_threshold: f64) -> Self {
-            LegacyDualBuffer::with_sink(capacity_bytes, repack_threshold, NullSink)
-        }
-    }
-
-    impl<S: TraceSink> LegacyDualBuffer<S> {
-        /// Creates a buffer that emits a [`TraceEvent`] for every fetch,
-        /// insert, hit, and eviction into `sink`.
-        pub fn with_sink(capacity_bytes: usize, repack_threshold: f64, sink: S) -> Self {
-            LegacyDualBuffer {
-                capacity_bytes,
-                repack_threshold,
-                csc_cols: BTreeMap::new(),
-                csc_bytes: 0,
-                csr_rows: BTreeMap::new(),
-                csr_reserved_bytes: 0,
-                fragmented_bytes: 0,
-                stats: DualBufferStats::default(),
-                sink,
-            }
-        }
-
-        /// Consumes the buffer, returning its sink.
-        pub fn into_sink(self) -> S {
-            self.sink
-        }
-
-        /// Current occupancy in bytes (CSC space + CSR reservations +
-        /// unreclaimed fragmentation).
-        pub fn occupancy_bytes(&self) -> usize {
-            self.csc_bytes + self.csr_reserved_bytes + self.fragmented_bytes
-        }
-
-        /// Pass statistics so far.
-        pub fn stats(&self) -> DualBufferStats {
-            self.stats
-        }
-
-        fn note_peak(&mut self) {
-            self.stats.peak_bytes = self.stats.peak_bytes.max(self.occupancy_bytes());
-        }
-
-        /// Fetches column `col` from DRAM into the CSC space, and runs the
-        /// col-row converter: each `(row, val)` is offered to the CSR
-        /// space. `row_total(r)` must return row `r`'s full non-zero count
-        /// (the CSR index array the loader consults for reservation
-        /// sizing).
-        ///
-        /// Rows the IS core has already finished (`is_frontier > row`) are
-        /// *not* converted — their consumer is gone; the caller applies
-        /// the pending scatter directly (the deferred-IS path).
-        pub fn fetch_column<F>(
-            &mut self,
-            col: u32,
-            data: &[(u32, f64)],
-            is_frontier: u32,
-            row_total: F,
-        ) where
-            F: Fn(u32) -> usize,
-        {
-            self.stats.fetched_bytes += data.len() * ELEM_BYTES;
-            if S::ENABLED {
-                self.sink.emit(TraceEvent::DramRead {
-                    addr: u64::from(col) * ELEM_BYTES as u64,
-                    bytes: (data.len() * ELEM_BYTES) as f64,
-                    class: TrafficClass::CscDemand,
-                    step: col,
-                });
-            }
-            self.csc_cols.insert(col, data.to_vec());
-            self.csc_bytes += data.len() * ELEM_BYTES;
-            for &(row, val) in data {
-                if row < is_frontier {
-                    continue; // deferred-IS: consumed by the caller directly
-                }
-                if S::ENABLED {
-                    self.sink.emit(TraceEvent::BufferInsert {
-                        row,
-                        col,
-                        step: col,
-                        refetch: false,
-                        bytes: ELEM_BYTES as f64,
-                    });
-                }
-                self.store_converted(row, col, val, &row_total);
-            }
-            self.note_peak();
-        }
-
-        /// Stores one converted element into the CSR space, reserving the
-        /// row's full region on first contact.
-        fn store_converted<F>(&mut self, row: u32, col: u32, val: f64, row_total: &F)
-        where
-            F: Fn(u32) -> usize,
-        {
-            let entry = self.csr_rows.entry(row).or_insert_with(|| {
-                let reserved = row_total(row);
-                self.csr_reserved_bytes += reserved * ELEM_BYTES;
-                self.stats.reservations += 1;
-                RowSpace {
-                    reserved_elems: reserved,
-                    stored: Vec::with_capacity(reserved),
-                    consumed: 0,
-                }
-            });
-            // Columns arrive in ascending order, so appends stay sorted —
-            // "allowing for consecutive and ascending storage of
-            // subsequently fetched row data within its reserved space".
-            debug_assert!(
-                entry.stored.last().is_none_or(|&(c, _)| c < col),
-                "row {row}: column {col} arrived out of order"
-            );
-            entry.stored.push((col, val));
-        }
-
-        /// The OS core consumes column `col`: returns its entries and
-        /// frees the CSC region immediately.
-        pub fn consume_column(&mut self, col: u32) -> Option<Vec<(u32, f64)>> {
-            let data = self.csc_cols.remove(&col)?;
-            self.csc_bytes -= data.len() * ELEM_BYTES;
-            if S::ENABLED {
-                for &(row, _) in &data {
-                    self.sink.emit(TraceEvent::BufferHit {
-                        row,
-                        col,
-                        stage: PipeStage::Os,
-                        step: col,
-                    });
-                }
-            }
-            Some(data)
-        }
-
-        /// The IS core consumes all currently stored entries of `row`,
-        /// returning them. Entries that have not arrived yet (columns
-        /// still to be fetched) remain the caller's responsibility
-        /// (deferred path). A fully-consumed row's reservation becomes
-        /// fragmentation until the next repack.
-        pub fn consume_row(&mut self, row: u32) -> Vec<(u32, f64)> {
-            let Some(space) = self.csr_rows.get_mut(&row) else {
-                return Vec::new();
-            };
-            let taken: Vec<(u32, f64)> = space.stored.drain(..).collect();
-            space.consumed += taken.len();
-            if S::ENABLED {
-                for &(col, _) in &taken {
-                    self.sink.emit(TraceEvent::BufferHit {
-                        row,
-                        col,
-                        stage: PipeStage::Is,
-                        step: row,
-                    });
-                }
-            }
-            if space.fully_consumed() {
-                let bytes = space.reserved_elems * ELEM_BYTES;
-                self.csr_rows.remove(&row);
-                self.csr_reserved_bytes -= bytes;
-                self.fragmented_bytes += bytes;
-            }
-            self.maybe_repack();
-            taken
-        }
-
-        /// Marks `consumed_late` additional elements of `row` as consumed
-        /// via the deferred path (they never entered the CSR space).
-        pub fn consume_deferred(&mut self, row: u32, consumed_late: usize) {
-            if let Some(space) = self.csr_rows.get_mut(&row) {
-                space.consumed += consumed_late;
-                if space.fully_consumed() {
-                    let bytes = space.reserved_elems * ELEM_BYTES;
-                    self.csr_rows.remove(&row);
-                    self.csr_reserved_bytes -= bytes;
-                    self.fragmented_bytes += bytes;
-                    self.maybe_repack();
-                }
-            }
-        }
-
-        fn maybe_repack(&mut self) {
-            let occupied = self.occupancy_bytes();
-            if self.fragmented_bytes > 0
-                && (self.fragmented_bytes as f64) > self.repack_threshold * occupied as f64
-            {
-                // "discards fully computed sub-tensors and places remaining
-                // sub-tensors in a contiguous CSR space"
-                self.fragmented_bytes = 0;
-                self.stats.repacks += 1;
-            }
-        }
-
-        /// Enforces capacity: evicts rows with the highest `row_idx` first
-        /// (never rows at or below `protect_below`, which the IS core is
-        /// about to need). Returns the evicted rows.
-        pub fn enforce_capacity(&mut self, protect_below: u32) -> Vec<u32> {
-            let mut evicted = Vec::new();
-            while self.occupancy_bytes() > self.capacity_bytes {
-                // repack first if fragmentation alone can make room
-                if self.fragmented_bytes > 0 {
-                    self.fragmented_bytes = 0;
-                    self.stats.repacks += 1;
-                    continue;
-                }
-                let Some((&row, _)) = self.csr_rows.last_key_value() else {
-                    break;
-                };
-                if row <= protect_below {
-                    break;
-                }
-                let space = self.csr_rows.remove(&row).expect("key just observed");
-                self.csr_reserved_bytes -= space.reserved_elems * ELEM_BYTES;
-                self.stats.evicted_rows += 1;
-                if S::ENABLED {
-                    // The whole reservation goes at once — a row-granular
-                    // eviction, marked with the WHOLE_ROW column sentinel.
-                    self.sink.emit(TraceEvent::BufferEvict {
-                        row,
-                        col: WHOLE_ROW,
-                        step: protect_below,
-                    });
-                }
-                evicted.push(row);
-            }
-            evicted
-        }
-
-        /// Charges a re-fetch of `elems` elements after an eviction.
-        pub fn charge_refetch(&mut self, elems: usize) {
-            self.stats.refetch_bytes += elems * ELEM_BYTES;
-            if S::ENABLED && elems > 0 {
-                self.sink.emit(TraceEvent::DramRead {
-                    addr: 1 << 40,
-                    bytes: (elems * ELEM_BYTES) as f64,
-                    class: TrafficClass::Refetch,
-                    step: 0,
-                });
-            }
-        }
-
-        /// Stored (convertible) entries currently held for `row`.
-        pub fn stored_row_len(&self, row: u32) -> usize {
-            self.csr_rows.get(&row).map_or(0, |s| s.stored.len())
-        }
-
-        /// Is a reservation present for `row`?
-        pub fn has_reservation(&self, row: u32) -> bool {
-            self.csr_rows.contains_key(&row)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn row_total_const(n: usize) -> impl Fn(u32) -> usize {
-            move |_| n
-        }
-
-        #[test]
-        fn column_fetch_and_conversion() {
-            let mut b = LegacyDualBuffer::new(10_000, 0.5);
-            b.fetch_column(0, &[(3, 1.0), (5, 2.0)], 0, row_total_const(2));
-            // CSC space holds the column; CSR space reserved both rows fully
-            assert_eq!(b.occupancy_bytes(), 2 * ELEM_BYTES + 2 * 2 * ELEM_BYTES);
-            assert!(b.has_reservation(3));
-            assert_eq!(b.stored_row_len(3), 1);
-            let col = b.consume_column(0).expect("column present");
-            assert_eq!(col, vec![(3, 1.0), (5, 2.0)]);
-            // CSC space freed immediately
-            assert_eq!(b.occupancy_bytes(), 2 * 2 * ELEM_BYTES);
-        }
-
-        #[test]
-        fn reservation_happens_once_at_full_row_size() {
-            let mut b = LegacyDualBuffer::new(10_000, 0.5);
-            b.fetch_column(0, &[(7, 1.0)], 0, row_total_const(5));
-            let after_first = b.occupancy_bytes();
-            b.consume_column(0);
-            b.fetch_column(1, &[(7, 2.0)], 0, row_total_const(5));
-            b.consume_column(1);
-            // second element did not grow the reservation
-            assert_eq!(
-                b.occupancy_bytes(),
-                after_first - ELEM_BYTES, // only the CSC copy of col 0 freed
-            );
-            assert_eq!(b.stats().reservations, 1);
-            assert_eq!(b.stored_row_len(7), 2);
-        }
-
-        #[test]
-        fn ascending_column_order_is_kept() {
-            let mut b = LegacyDualBuffer::new(10_000, 0.5);
-            for col in 0..4u32 {
-                b.fetch_column(col, &[(9, col as f64)], 0, row_total_const(4));
-                b.consume_column(col);
-            }
-            let taken = b.consume_row(9);
-            assert_eq!(taken, vec![(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]);
-        }
-
-        #[test]
-        fn full_consumption_frees_reservation_via_repack() {
-            let mut b = LegacyDualBuffer::new(10_000, 0.0); // immediate repack
-            b.fetch_column(0, &[(2, 1.0)], 0, row_total_const(1));
-            b.consume_column(0);
-            assert!(b.has_reservation(2));
-            let taken = b.consume_row(2);
-            assert_eq!(taken.len(), 1);
-            assert!(!b.has_reservation(2));
-            assert_eq!(b.occupancy_bytes(), 0);
-            assert!(b.stats().repacks >= 1);
-        }
-
-        #[test]
-        fn deferred_rows_are_not_converted() {
-            let mut b = LegacyDualBuffer::new(10_000, 0.5);
-            // IS frontier is at row 5: rows below it defer
-            b.fetch_column(7, &[(2, 1.0), (8, 2.0)], 5, row_total_const(1));
-            assert!(!b.has_reservation(2), "row below the frontier must defer");
-            assert!(b.has_reservation(8));
-        }
-
-        #[test]
-        fn eviction_prefers_highest_rows_and_respects_protection() {
-            // capacity for ~3 reservations of 2 elements
-            let mut b = LegacyDualBuffer::new(7 * ELEM_BYTES, 0.5);
-            b.fetch_column(0, &[(1, 0.1), (5, 0.5), (9, 0.9)], 0, row_total_const(2));
-            b.consume_column(0);
-            // 3 reservations × 2 elems = 6 elems of CSR space: fits (42 < 84)
-            assert_eq!(b.enforce_capacity(0), Vec::<u32>::new());
-            b.fetch_column(1, &[(3, 0.3)], 0, row_total_const(2));
-            b.consume_column(1);
-            // 4 reservations = 8 elems > 7: evict highest row (9)
-            let evicted = b.enforce_capacity(0);
-            assert_eq!(evicted, vec![9]);
-            assert!(b.has_reservation(1) && b.has_reservation(3) && b.has_reservation(5));
-            // protection: nothing at or below the protect mark is evicted
-            b.fetch_column(2, &[(5, 0.55), (3, 0.33)], 0, row_total_const(2));
-            b.consume_column(2);
-            let evicted = b.enforce_capacity(5);
-            assert!(
-                evicted.is_empty(),
-                "protected rows must survive: {evicted:?}"
-            );
-        }
-
-        #[test]
-        fn traced_capacity_one_element_buffer_evicts_immediately() {
-            use sparsepipe_trace::MemorySink;
-            // Capacity of a single element: the CSC copy plus the CSR
-            // reservation of the same element already overflow it, so the
-            // reservation must be evicted the moment capacity is enforced.
-            let mut sink = MemorySink::new();
-            {
-                let mut b = LegacyDualBuffer::with_sink(ELEM_BYTES, 0.5, &mut sink);
-                b.fetch_column(0, &[(5, 1.0)], 0, row_total_const(2));
-                b.consume_column(0);
-                assert_eq!(b.enforce_capacity(0), vec![5]);
-                assert_eq!(b.occupancy_bytes(), 0);
-                assert_eq!(b.stats().evicted_rows, 1);
-            }
-            let evicts: Vec<_> = sink
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    TraceEvent::BufferEvict { row, col, .. } => Some((row, col)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                evicts,
-                vec![(5, WHOLE_ROW)],
-                "row-granular eviction carries the WHOLE_ROW sentinel"
-            );
-            assert!(sink
-                .events()
-                .iter()
-                .any(|e| matches!(e, TraceEvent::BufferInsert { row: 5, col: 0, .. })));
-        }
-
-        #[test]
-        fn traced_second_element_of_resident_row_reuses_reservation() {
-            use sparsepipe_trace::MemorySink;
-            let mut sink = MemorySink::new();
-            {
-                let mut b = LegacyDualBuffer::with_sink(10_000, 0.5, &mut sink);
-                b.fetch_column(0, &[(9, 1.0)], 0, row_total_const(2));
-                b.consume_column(0);
-                b.fetch_column(1, &[(9, 2.0)], 0, row_total_const(2));
-                b.consume_column(1);
-                // second element of row 9 lands in the existing reservation
-                assert_eq!(b.stats().reservations, 1);
-                assert_eq!(b.stored_row_len(9), 2);
-            }
-            let inserts: Vec<_> = sink
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    TraceEvent::BufferInsert { row, col, .. } => Some((row, col)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(
-                inserts,
-                vec![(9, 0), (9, 1)],
-                "both elements of the row insert, in ascending column order"
-            );
-        }
-
-        #[test]
-        fn traced_eviction_of_next_needed_row_causes_refetch() {
-            use sparsepipe_trace::MemorySink;
-            let mut sink = MemorySink::new();
-            {
-                // room for the CSC copy plus one 2-element reservation only
-                let mut b = LegacyDualBuffer::with_sink(3 * ELEM_BYTES, 0.5, &mut sink);
-                b.fetch_column(0, &[(2, 0.2), (6, 0.6)], 0, row_total_const(2));
-                b.consume_column(0);
-                // Protection is below row 6, so the highest row — exactly
-                // the one holding data the IS stage will need — is evicted.
-                assert_eq!(b.enforce_capacity(1), vec![6]);
-                // IS reaches row 6: nothing stored, the caller must
-                // re-fetch.
-                assert!(b.consume_row(6).is_empty());
-                b.charge_refetch(2);
-                assert_eq!(b.stats().refetch_bytes, 2 * ELEM_BYTES);
-            }
-            let events = sink.events();
-            let evict_pos = events
-                .iter()
-                .position(|e| matches!(e, TraceEvent::BufferEvict { row: 6, .. }))
-                .expect("eviction of row 6 must be traced");
-            let refetch_pos = events
-                .iter()
-                .position(|e| {
-                    matches!(
-                        e,
-                        TraceEvent::DramRead {
-                            class: TrafficClass::Refetch,
-                            ..
-                        }
-                    )
-                })
-                .expect("refetch after eviction must be traced");
-            assert!(
-                evict_pos < refetch_pos,
-                "stream order: eviction precedes its refetch"
-            );
-            // the surviving row's consumption still registers as an IS hit
-            let mut b2 = LegacyDualBuffer::new(3 * ELEM_BYTES, 0.5);
-            b2.fetch_column(0, &[(2, 0.2), (6, 0.6)], 0, row_total_const(2));
-            b2.consume_column(0);
-            b2.enforce_capacity(1);
-            assert_eq!(b2.consume_row(2).len(), 1, "untraced buffer agrees");
-        }
-
-        #[test]
-        fn stats_accumulate() {
-            let mut b = LegacyDualBuffer::new(1_000_000, 0.5);
-            b.fetch_column(0, &[(1, 1.0), (2, 2.0)], 0, row_total_const(1));
-            b.charge_refetch(3);
-            let s = b.stats();
-            assert_eq!(s.fetched_bytes, 2 * ELEM_BYTES);
-            assert_eq!(s.refetch_bytes, 3 * ELEM_BYTES);
-            assert!(s.peak_bytes > 0);
-        }
     }
 }
 

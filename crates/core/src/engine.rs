@@ -62,8 +62,7 @@ pub(crate) struct EngineRun {
 }
 
 /// The engine proper, behind the [`crate::SimRequest`] driver — the sole
-/// compile-and-simulate entry since the deprecated `simulate` free
-/// function was removed. Generic over the trace sink; the default
+/// compile-and-simulate entry. Generic over the trace sink; the default
 /// [`NullSink`] instantiation is the untraced engine.
 ///
 /// Scheduling follows the program's OEI analysis:
@@ -585,8 +584,7 @@ mod tests {
     use sparsepipe_semiring::{EwiseBinary, SemiringOp};
     use sparsepipe_tensor::gen;
 
-    /// Shadows the deprecated free function: every engine test goes
-    /// through the [`crate::SimRequest`] driver.
+    /// Shorthand for the [`crate::SimRequest`] driver.
     fn simulate(
         program: &SparsepipeProgram,
         matrix: &CooMatrix,
@@ -869,7 +867,7 @@ mod gcn_tests {
     use sparsepipe_semiring::SemiringOp;
     use sparsepipe_tensor::gen;
 
-    /// Shadows the deprecated free function (see `tests::simulate`).
+    /// Shorthand for the [`crate::SimRequest`] driver.
     fn simulate(
         program: &SparsepipeProgram,
         matrix: &CooMatrix,

@@ -20,7 +20,7 @@
 //! * DRAM traffic and energy accounting ([`energy`]).
 //!
 //! Functional correctness of the OEI schedule is established separately by
-//! [`oei::fused_pass`], which executes the exact Fig-8 interleaving on
+//! [`oei::FusedPass`], which executes the exact Fig-8 interleaving on
 //! values and is tested against sequential operator execution.
 //!
 //! # Example

@@ -112,7 +112,7 @@ impl<'a> PassRequest<'a> {
 
     /// Executes the pass.
     pub fn run(self) -> PassResult {
-        execute_pass(self.plan, self.config, &self.params)
+        self.run_traced(&mut NullSink)
     }
 
     /// Executes the pass, streaming trace events into `sink`.
@@ -196,27 +196,6 @@ pub(crate) const PREFETCH_LOOKAHEAD_STEPS: u32 = 16;
 
 /// Pipeline fill/drain steps (CSC load → OS → E-Wise → IS).
 const PIPELINE_STAGES: f64 = 3.0;
-
-/// Runs one OEI pass over the plan.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `sparsepipe_core::pipeline::PassRequest` builder"
-)]
-pub fn run_pass(plan: &PassPlan, config: &SparsepipeConfig, params: &PassParams) -> PassResult {
-    execute_pass(plan, config, params)
-}
-
-/// The pass loop proper, shared by [`PassRequest::run`] and the deprecated
-/// [`run_pass`] shim.
-fn execute_pass(plan: &PassPlan, config: &SparsepipeConfig, params: &PassParams) -> PassResult {
-    infallible(execute_pass_traced(
-        plan,
-        config,
-        params,
-        &mut NullSink,
-        None,
-    ))
-}
 
 /// How many pipeline steps run between cooperative deadline checks: the
 /// check costs one `Instant::now()` syscall, so it is amortized over a
@@ -648,8 +627,7 @@ mod tests {
     use super::*;
     use sparsepipe_tensor::gen;
 
-    /// Shadows the deprecated free function: every pipeline test goes
-    /// through the [`PassRequest`] builder.
+    /// Shorthand for the [`PassRequest`] builder.
     fn run_pass(plan: &PassPlan, config: &SparsepipeConfig, params: &PassParams) -> PassResult {
         PassRequest::new(plan, config).params(*params).run()
     }

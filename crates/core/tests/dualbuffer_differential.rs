@@ -1,21 +1,20 @@
 //! The differential correctness harness: the flat-arena dual buffer vs.
 //! the legacy `BTreeMap` implementation it replaced.
 //!
-//! The legacy buffer (behind the default `legacy-dualbuffer` feature) is
-//! the oracle: for every generated matrix and capacity, the arena fast
+//! The legacy buffer (`sparsepipe_testutil::dualbuffer_oracle`, test-only)
+//! is the oracle: for every generated matrix and capacity, the arena fast
 //! path must reproduce its functional output (`y1`/`x2`/`y2`) **bitwise**,
 //! its [`DualBufferStats`] exactly, and its trace event stream
 //! element-for-element. Any divergence — a reordered eviction, a
 //! double-counted refetch byte, a differently-ordered accumulation —
 //! fails here before it can perturb a figure.
 
-#![cfg(feature = "legacy-dualbuffer")]
-
 use proptest::prelude::*;
 use sparsepipe_core::dualbuffer::DualBufferStats;
-use sparsepipe_core::{oei, MatrixArena};
+use sparsepipe_core::{oei::FusedPass, MatrixArena};
 use sparsepipe_semiring::SemiringOp;
 use sparsepipe_tensor::{CooMatrix, DenseVector};
+use sparsepipe_testutil::dualbuffer_oracle::legacy_buffered_pass;
 use sparsepipe_trace::MemorySink;
 
 /// Runs one pass through both implementations and checks every contract.
@@ -28,14 +27,16 @@ fn assert_equivalent(m: &CooMatrix, cap_frac: f64, os: SemiringOp, is: SemiringO
 
     let mut legacy_sink = MemorySink::new();
     let (legacy_out, legacy_stats) =
-        oei::fused_pass_buffered_legacy_traced(&csc, &csr, &x, ew, os, is, cap, &mut legacy_sink)
+        legacy_buffered_pass(&csc, &csr, &x, ew, os, is, cap, &mut legacy_sink)
             .expect("legacy pass accepts square inputs");
 
     let arena = MatrixArena::from_parts(&csc, &csr);
     let mut arena_sink = MemorySink::new();
-    let (arena_out, arena_stats) =
-        oei::fused_pass_arena_traced(&arena, &x, ew, os, is, cap, &mut arena_sink)
-            .expect("arena pass accepts square inputs");
+    let (arena_out, arena_stats) = FusedPass::new(&arena, os, is)
+        .buffer(cap)
+        .trace(&mut arena_sink)
+        .run(&x, ew)
+        .expect("arena pass accepts square inputs");
 
     for (name, l, a) in [
         ("y1", &legacy_out.y1, &arena_out.y1),
@@ -120,7 +121,7 @@ fn arena_matches_legacy_on_edge_case_corpus() {
             saw_rect = true;
             let (csc, csr) = (m.to_csc(), m.to_csr());
             let x: DenseVector = (0..m.nrows() as usize).map(|i| i as f64 * 0.1).collect();
-            let err = oei::fused_pass_buffered_legacy_traced(
+            let err = legacy_buffered_pass(
                 &csc,
                 &csr,
                 &x,

@@ -8,10 +8,10 @@
 //! cargo run --release --example pipeline_schedule
 //! ```
 
-use sparsepipe::core::oei;
+use sparsepipe::core::oei::FusedPass;
 use sparsepipe::core::pipeline::{PassParams, PassRequest};
 use sparsepipe::core::plan::PassPlan;
-use sparsepipe::core::{Preprocessing, ReorderKind, SparsepipeConfig};
+use sparsepipe::core::{MatrixArena, Preprocessing, ReorderKind, SparsepipeConfig};
 use sparsepipe::semiring::SemiringOp;
 use sparsepipe::tensor::{gen, DenseVector};
 
@@ -92,17 +92,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- functional: the same schedule computes the right values ----
-    let (csc, csr) = (m.to_csc(), m.to_csr());
+    let csc = m.to_csc();
     let x = DenseVector::filled(m.nrows() as usize, 1.0 / m.nrows() as f64);
-    let wide = oei::fused_pass_subtensor(
-        &csc,
-        &csr,
-        &x,
-        |_, v| v * 0.85 + 0.15,
+    let wide = FusedPass::new(
+        &MatrixArena::from_coo(&m),
         SemiringOp::MulAdd,
         SemiringOp::MulAdd,
-        t_cols,
-    )?;
+    )
+    .subtensor(t_cols)
+    .run(&x, |_, v| v * 0.85 + 0.15)?;
     let y1 = csc.vxm::<sparsepipe::semiring::MulAdd>(&x)?;
     let x2: DenseVector = y1.iter().map(|&v| v * 0.85 + 0.15).collect();
     let y2 = csc.vxm::<sparsepipe::semiring::MulAdd>(&x2)?;

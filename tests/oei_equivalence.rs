@@ -4,6 +4,7 @@
 //! for every application, every semiring, and arbitrary iteration counts.
 
 use sparsepipe::apps::registry;
+use sparsepipe::core::{oei::FusedPass, MatrixArena};
 use sparsepipe::frontend::interp::{self, Bindings, Value};
 use sparsepipe::semiring::SemiringOp;
 use sparsepipe::tensor::{gen, DenseVector};
@@ -81,19 +82,13 @@ fn assert_values_close(a: &Value, b: &Value, ctx: &str) {
 fn fused_pass_equals_two_interpreter_iterations() {
     let m = gen::power_law(96, 800, 1.0, 0.4, 5);
     let t = sparsepipe::apps::pagerank::transition_matrix(&m);
-    let (csc, csr) = (t.to_csc(), t.to_csr());
+    let arena = MatrixArena::from_coo(&t);
     let d = sparsepipe::apps::pagerank::DAMPING;
     let x0 = DenseVector::filled(96, 1.0 / 96.0);
 
-    let pass = sparsepipe::core::oei::fused_pass(
-        &csc,
-        &csr,
-        &x0,
-        |_, v| d * v + 0.15,
-        SemiringOp::MulAdd,
-        SemiringOp::MulAdd,
-    )
-    .expect("square matrix");
+    let pass = FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd)
+        .run(&x0, |_, v| d * v + 0.15)
+        .expect("x0 matches n");
     let after_two: DenseVector = pass.y2.iter().map(|&v| d * v + 0.15).collect();
 
     let app = sparsepipe::apps::pagerank::app(2);
@@ -115,17 +110,15 @@ fn fused_pass_equivalence_across_dataset_families() {
         ("road", gen::road(80, 400, 0.02, 4)),
         ("mesh", gen::mesh2d(9, 0.1, 5)),
     ] {
-        let (csc, csr) = (m.to_csc(), m.to_csr());
+        let csc = m.to_csc();
         let n = m.nrows() as usize;
         let x: DenseVector = (0..n).map(|i| (i % 5) as f64 * 0.3).collect();
-        let out = sparsepipe::core::oei::fused_pass(
-            &csc,
-            &csr,
-            &x,
-            |_, v| v * 0.5 + 0.1,
+        let out = FusedPass::new(
+            &MatrixArena::from_coo(&m),
             SemiringOp::MulAdd,
             SemiringOp::MulAdd,
         )
+        .run(&x, |_, v| v * 0.5 + 0.1)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
         let y1 = csc.vxm::<sparsepipe::semiring::MulAdd>(&x).expect("square");
         let x2: DenseVector = y1.iter().map(|&v| v * 0.5 + 0.1).collect();

@@ -3,7 +3,7 @@
 //! accounting, and e-wise VM vs. interpreter agreement.
 
 use proptest::prelude::*;
-use sparsepipe::core::oei;
+use sparsepipe::core::{oei::FusedPass, MatrixArena};
 use sparsepipe::frontend::{fusion, GraphBuilder};
 use sparsepipe::semiring::{EwiseBinary, EwiseUnary, SemiringOp};
 use sparsepipe::tensor::{livesweep, BlockedDualStorage, CooMatrix, DenseVector};
@@ -66,11 +66,12 @@ proptest! {
         shift in -1.0f64..1.0,
     ) {
         let n = m.nrows() as usize;
-        let (csc, csr) = (m.to_csc(), m.to_csr());
+        let csc = m.to_csc();
         let x: DenseVector = (0..n).map(|i| (i % 5) as f64 * 0.4).collect();
         let ew = |_: usize, v: f64| v * scale + shift;
-        let out = oei::fused_pass(&csc, &csr, &x, ew, SemiringOp::MulAdd, SemiringOp::MulAdd)
-            .expect("square");
+        let out = FusedPass::new(&MatrixArena::from_coo(&m), SemiringOp::MulAdd, SemiringOp::MulAdd)
+            .run(&x, ew)
+            .expect("x matches n");
         let y1 = csc.vxm::<sparsepipe::semiring::MulAdd>(&x).expect("square");
         let x2: DenseVector = y1.iter().map(|&v| v * scale + shift).collect();
         let y2 = csc.vxm::<sparsepipe::semiring::MulAdd>(&x2).expect("square");
@@ -81,25 +82,28 @@ proptest! {
 
     /// The mechanism-level buffered OEI pass (real dual-storage buffer,
     /// reservations, evictions, refetches) computes exactly the same
-    /// values as the idealized element pass, at any capacity.
+    /// values as the idealized element pass — bitwise — at any capacity.
     #[test]
     fn buffered_pass_exact_at_any_capacity(
         m in coo_matrix(64, 300),
         cap_frac in 0.05f64..2.0,
     ) {
         let n = m.nrows() as usize;
-        let (csc, csr) = (m.to_csc(), m.to_csr());
+        let arena = MatrixArena::from_coo(&m);
         let x: DenseVector = (0..n).map(|i| (i % 4) as f64 * 0.5).collect();
         let ew = |_: usize, v: f64| v * 0.8 + 0.1;
-        let reference = oei::fused_pass(&csc, &csr, &x, ew, SemiringOp::MulAdd, SemiringOp::MulAdd)
-            .expect("square");
+        let pass = || FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd);
+        let reference = pass().run(&x, ew).expect("x matches n");
         let cap = ((m.nnz().max(1) * 12) as f64 * cap_frac) as usize + 64;
-        let (out, stats) = oei::fused_pass_buffered(
-            &csc, &csr, &x, ew, SemiringOp::MulAdd, SemiringOp::MulAdd, cap,
-        )
-        .expect("square");
-        for (a, b) in out.y2.iter().zip(reference.y2.iter()) {
-            prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
+        let (out, stats) = pass().buffer(cap).run(&x, ew).expect("x matches n");
+        for (name, a, b) in [
+            ("y1", &out.y1, &reference.y1),
+            ("x2", &out.x2, &reference.x2),
+            ("y2", &out.y2, &reference.y2),
+        ] {
+            for (p, q) in a.iter().zip(b.iter()) {
+                prop_assert_eq!(p.to_bits(), q.to_bits(), "{}: {} vs {}", name, p, q);
+            }
         }
         // traffic envelope: at least one image, at most two
         let image = m.nnz() * 12;
