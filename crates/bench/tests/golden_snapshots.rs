@@ -159,3 +159,70 @@ fn verify_report_matches_golden_snapshot() {
     let report = experiments::verify().expect("verify renders");
     check("verify.txt", &report.render());
 }
+
+#[test]
+fn mxm_odd_tail_matches_golden_snapshot() {
+    // msbfs and gcnw fuse two iterations onto one mxm sweep
+    // (cross-iteration OEI); at 5 iterations the fifth runs as an unfused
+    // tail sweep. The golden pins the report, the SpGEMM statistics and
+    // the traced audit totals, at the dataset's buffer and under a tight
+    // residency window, so the fused unit and the tail cannot drift apart.
+    use sparsepipe_apps::registry;
+    use sparsepipe_bench::datasets::DatasetSpec;
+    use sparsepipe_bench::sweep::sparsepipe_config;
+    use sparsepipe_core::SimRequest;
+    use sparsepipe_tensor::MatrixId;
+    use sparsepipe_trace::{MemorySink, TraceAudit};
+    use std::fmt::Write as _;
+
+    let mut out = String::new();
+    for id in [MatrixId::Ca, MatrixId::Gy] {
+        let dataset = DatasetSpec::new(id, 64).load().expect("built-in dataset");
+        for name in ["msbfs", "gcnw"] {
+            let app = registry::by_name(name).expect("registry app");
+            let program = app.compile().expect("app compiles");
+            let base = sparsepipe_config(&dataset);
+            for (label, config) in [("dataset", base), ("tight", base.with_buffer(8 << 10))] {
+                let untraced = SimRequest::new(&program, &dataset.reordered)
+                    .iterations(5)
+                    .config(config)
+                    .run()
+                    .expect("mxm point simulates");
+                let mut sink = MemorySink::new();
+                let traced = SimRequest::new(&program, &dataset.reordered)
+                    .iterations(5)
+                    .config(config)
+                    .trace(&mut sink)
+                    .run()
+                    .expect("traced mxm point simulates");
+                assert_eq!(traced.report, untraced.report, "{name}/{label}: tracing");
+                assert_eq!(traced.mxm, untraced.mxm, "{name}/{label}: tracing");
+                let audit = TraceAudit::replay(sink.events());
+                audit
+                    .check(&traced.report.traffic.audit_totals())
+                    .unwrap_or_else(|e| panic!("{name}/{label}: audit mismatch: {e}"));
+                let point = format!("{name} {} {label}", id.code());
+                writeln!(
+                    out,
+                    "{point} report {}",
+                    serde_json::to_string(&untraced.report).expect("report serializes")
+                )
+                .unwrap();
+                writeln!(
+                    out,
+                    "{point} mxm {}",
+                    serde_json::to_string(&untraced.mxm).expect("stats serialize")
+                )
+                .unwrap();
+                writeln!(
+                    out,
+                    "{point} audit passes={} {:?}",
+                    audit.passes.len(),
+                    audit.replayed
+                )
+                .unwrap();
+            }
+        }
+    }
+    check("mxm_odd_tail.txt", &out);
+}

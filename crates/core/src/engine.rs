@@ -194,6 +194,22 @@ pub(crate) fn simulate_inner<S: TraceSink>(
         let riders = profile.ewise_matrix_passes as f64;
         let steps = crate::spgemm::step_count(arena.n(), t_rows) as u32;
 
+        // One plan serves the fused units and the unfused tail: the
+        // kernel runs once and each schedule replays its counts.
+        let plan = crate::spgemm::MxmPlan::build_until(
+            arena,
+            program.os_semiring,
+            config,
+            t_rows,
+            deadline,
+        )?;
+        mxm_stats = Some(plan.stats());
+        let params = |fused_iterations| crate::spgemm::MxmParams {
+            fused_iterations,
+            ewise_matrix_passes: riders,
+            t_rows,
+        };
+
         if full_units > 0 {
             let repeats = (full_units * profile.mxm_passes) as u64;
             if S::ENABLED {
@@ -203,19 +219,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                     steps,
                 });
             }
-            let outcome = crate::spgemm::execute_mxm_traced(
-                arena,
-                program.os_semiring,
-                config,
-                &crate::spgemm::MxmParams {
-                    fused_iterations: share,
-                    ewise_matrix_passes: riders,
-                    t_rows,
-                },
-                sink,
-                deadline,
-            )?;
-            let pass = &outcome.pass;
+            let pass = &plan.replay(config, &params(share), sink);
             accumulate_pass(
                 pass,
                 repeats as f64,
@@ -230,7 +234,6 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             sim_steps += pass.steps.len() as u64;
             modeled_passes += repeats;
             peak_working_set = peak_working_set.max(pass.buffer_peak_bytes);
-            mxm_stats = Some(outcome.stats);
         }
 
         if remainder_iters > 0 {
@@ -244,19 +247,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                     steps,
                 });
             }
-            let outcome = crate::spgemm::execute_mxm_traced(
-                arena,
-                program.os_semiring,
-                config,
-                &crate::spgemm::MxmParams {
-                    fused_iterations: 1.0,
-                    ewise_matrix_passes: riders,
-                    t_rows,
-                },
-                sink,
-                deadline,
-            )?;
-            let pass = &outcome.pass;
+            let pass = &plan.replay(config, &params(1.0), sink);
             accumulate_pass(
                 pass,
                 repeats as f64,
@@ -273,7 +264,6 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             sim_steps += pass.steps.len() as u64;
             modeled_passes += repeats;
             peak_working_set = peak_working_set.max(pass.buffer_peak_bytes);
-            mxm_stats.get_or_insert(outcome.stats);
         }
     } else if profile.has_oei {
         let (full_passes, remainder_iters, ewise_iterations) = if profile.cross_iteration {

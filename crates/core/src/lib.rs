@@ -82,7 +82,7 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use plan::PassPlan;
 pub use profile::MatrixProfile;
 pub use slab::{SlabError, SlabHeader};
-pub use spgemm::{MxmOutcome, MxmParams, MxmRequest, MxmStats};
+pub use spgemm::{MxmOutcome, MxmParams, MxmPlan, MxmRequest, MxmStats};
 pub use stats::{BwSample, SimReport, TrafficBreakdown};
 
 /// Errors produced by the simulator.

@@ -3,11 +3,15 @@
 //!
 //! One **mxm pass** sweeps the rows of the bound square matrix `M` in
 //! blocks of `t_rows` rows per pipeline step and computes `C = M ⊕.⊗ M`
-//! with Gustavson's row-by-row algorithm — the exact arithmetic of
-//! [`sparsepipe_tensor::spgemm::spgemm`], replayed over
-//! [`MatrixArena`] CSR slices so the timing model and the functional
-//! oracle share one definition of the result (the differential tests
-//! compare them bitwise).
+//! with Gustavson's row-by-row algorithm, on the sparse accumulator of
+//! [`sparsepipe_tensor::spgemm`] ([`Spa`]) over [`MatrixArena`] CSR
+//! slices — one kernel for the timing model and the functional result.
+//!
+//! The stage splits in two. [`MxmPlan::build`] runs the kernel and the
+//! residency window once and records per-step counts; [`MxmPlan::replay`]
+//! turns them into cycles, traffic and trace events for a given fusion
+//! width. The engine counts `C` and never builds it; [`MxmRequest`]
+//! drains the same accumulator in column order and returns `C`.
 //!
 //! The traffic model mirrors the dataflow:
 //!
@@ -31,8 +35,9 @@
 //! Per-step timing is bottleneck-style like [`crate::pipeline`]:
 //! `max(memory, OS MACs, accumulator drain, rider merge, latency floor)`.
 
-use sparsepipe_semiring::SemiringOp;
-use sparsepipe_tensor::{CooMatrix, CsrMatrix};
+use sparsepipe_semiring::{AndOr, ArilAdd, MinAdd, MulAdd, Semiring, SemiringOp};
+use sparsepipe_tensor::spgemm::{CsrRows, Spa};
+use sparsepipe_tensor::CsrMatrix;
 use sparsepipe_trace::{NullSink, TraceEvent, TraceSink, TrafficClass};
 
 use crate::arena::{MatrixArena, RowSet};
@@ -65,8 +70,8 @@ pub const ACC_BYTES_PER_COL: f64 = 16.0;
 /// Functional and architectural statistics of one SpGEMM computation.
 ///
 /// These are pure functions of the matrix and semiring — independent of
-/// the fusion schedule — so the fused and tail executions of the same
-/// pass report identical values.
+/// the fusion schedule — so one [`MxmPlan`] serves the fused and the
+/// tail passes alike.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct MxmStats {
     /// Scalar products formed (`Σ_i Σ_{k ∈ M[i]} nnz(M[k])`) — the size
@@ -129,7 +134,8 @@ pub fn step_count(n: u32, t_rows: usize) -> usize {
 }
 
 /// Builder for one mxm pass — the SpGEMM analogue of
-/// [`crate::pipeline::PassRequest`].
+/// [`crate::pipeline::PassRequest`]. Unlike the engine, which only
+/// counts `C` (see [`MxmPlan`]), a request materialises the product.
 ///
 /// ```
 /// use sparsepipe_core::spgemm::{MxmParams, MxmRequest};
@@ -178,17 +184,7 @@ impl<'a> MxmRequest<'a> {
 
     /// Executes the pass.
     pub fn run(self) -> MxmOutcome {
-        match execute_mxm_traced(
-            self.arena,
-            self.semiring,
-            self.config,
-            &self.params,
-            &mut NullSink,
-            None,
-        ) {
-            Ok(o) => o,
-            Err(_) => unreachable!("mxm pass only fails when given a deadline"),
-        }
+        self.run_traced(&mut NullSink)
     }
 
     /// Executes the pass, streaming trace events into `sink` (per-step
@@ -196,49 +192,294 @@ impl<'a> MxmRequest<'a> {
     /// increments added to the returned traffic — see
     /// [`sparsepipe_trace::TraceAudit`]).
     pub fn run_traced<S: TraceSink>(self, sink: &mut S) -> MxmOutcome {
-        match execute_mxm_traced(
+        let mut rows = CsrRows::new();
+        let Ok(plan) = build_plan(
             self.arena,
             self.semiring,
             self.config,
-            &self.params,
-            sink,
+            self.params.t_rows,
             None,
-        ) {
-            Ok(o) => o,
-            Err(_) => unreachable!("mxm pass only fails when given a deadline"),
+            Some(&mut rows),
+        ) else {
+            unreachable!("mxm plan only fails when given a deadline")
+        };
+        MxmOutcome {
+            result: rows.into_csr(self.arena.n()),
+            pass: plan.replay(self.config, &self.params, sink),
+            stats: plan.stats,
         }
     }
 }
 
-/// The instrumented mxm pass loop. Every emission is guarded by
-/// `S::ENABLED`, so traced and untraced runs produce bit-identical
-/// [`MxmOutcome`]s.
-pub(crate) fn execute_mxm_traced<S: TraceSink>(
+/// What one pipeline step of an mxm pass does, independent of the
+/// fusion schedule.
+#[derive(Debug, Clone, Copy, Default)]
+struct PlanStep {
+    /// First-fetch bytes of stationary rows.
+    demand: f64,
+    /// Re-fetch bytes of evicted stationary rows.
+    refetch: f64,
+    /// Left-operand stream bytes.
+    left_bytes: f64,
+    /// Scalar products formed.
+    products: u64,
+    /// `C` entries surviving accumulation.
+    out_entries: u64,
+    /// Widest accumulator row of the step.
+    acc_peak: u32,
+    /// Residency-window bytes at the end of the step.
+    resident_bytes: f64,
+}
+
+/// The schedule-independent half of an mxm pass: the Gustavson kernel
+/// and the right-operand residency window run once, recording per-step
+/// counts; [`replay`](MxmPlan::replay) turns them into cycles, traffic
+/// and trace events in O(steps) for any fusion width and rider count.
+///
+/// A plan depends only on the arena, the semiring, `t_rows` and the
+/// configuration's buffer and element sizes. It counts `C` without
+/// building it; [`MxmRequest`] is the path that materialises `C`.
+///
+/// ```
+/// use sparsepipe_core::spgemm::{MxmParams, MxmPlan, MxmRequest};
+/// use sparsepipe_core::{MatrixArena, SparsepipeConfig};
+/// use sparsepipe_semiring::SemiringOp;
+/// use sparsepipe_trace::NullSink;
+///
+/// let arena = MatrixArena::from_coo(&sparsepipe_tensor::gen::uniform(200, 200, 1200, 3));
+/// let config = SparsepipeConfig::iso_gpu();
+/// let params = MxmParams { t_rows: 16, fused_iterations: 2.0, ..MxmParams::default() };
+/// let plan = MxmPlan::build(&arena, SemiringOp::MulAdd, &config, params.t_rows);
+/// let pass = plan.replay(&config, &params, &mut NullSink);
+/// let request = MxmRequest::new(&arena, SemiringOp::MulAdd, &config).params(params).run();
+/// assert_eq!(plan.stats(), request.stats);
+/// assert_eq!(pass.cycles.to_bits(), request.pass.cycles.to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct MxmPlan {
+    t_rows: usize,
+    steps: Vec<PlanStep>,
+    evictions: u64,
+    stats: MxmStats,
+}
+
+impl MxmPlan {
+    /// Runs the kernel and the residency window over the arena at
+    /// `t_rows` rows per step (clamped to ≥ 1).
+    pub fn build(
+        arena: &MatrixArena,
+        semiring: SemiringOp,
+        config: &SparsepipeConfig,
+        t_rows: usize,
+    ) -> MxmPlan {
+        let Ok(plan) = build_plan(arena, semiring, config, t_rows, None, None) else {
+            unreachable!("mxm plan only fails when given a deadline")
+        };
+        plan
+    }
+
+    /// [`build`](MxmPlan::build), checking `deadline` once per step.
+    pub(crate) fn build_until(
+        arena: &MatrixArena,
+        semiring: SemiringOp,
+        config: &SparsepipeConfig,
+        t_rows: usize,
+        deadline: Option<&Deadline>,
+    ) -> Result<MxmPlan, crate::CoreError> {
+        build_plan(arena, semiring, config, t_rows, deadline, None)
+    }
+
+    /// SpGEMM statistics of the plan's product.
+    pub fn stats(&self) -> MxmStats {
+        self.stats
+    }
+
+    /// Times one pass of the plan under `params`, streaming its trace
+    /// events into `sink`. `config` must be the configuration the plan
+    /// was built with, and `params.t_rows` its step height.
+    ///
+    /// Every emission is guarded by `S::ENABLED`, so traced and untraced
+    /// replays return bit-identical [`PassResult`]s.
+    pub fn replay<S: TraceSink>(
+        &self,
+        config: &SparsepipeConfig,
+        params: &MxmParams,
+        sink: &mut S,
+    ) -> PassResult {
+        debug_assert_eq!(
+            params.t_rows.max(1),
+            self.t_rows,
+            "replay at the plan's step height"
+        );
+        let bpc = config.memory.bytes_per_cycle(config.clock_ghz);
+        let fetch_b = config.fetch_bytes_per_element();
+        let pes = config.pes_per_core as f64;
+        let share = params.fused_iterations;
+        let riders = params.ewise_matrix_passes;
+        let step_floor = (config.memory.read_latency_ns * config.clock_ghz).max(1.0);
+
+        let mut traffic = TrafficBreakdown::default();
+        let mut steps_out = Vec::with_capacity(self.steps.len());
+        let mut total_cycles = 0.0f64;
+        let mut os_ops = 0.0f64;
+        let mut ew_ops = 0.0f64;
+        let mut is_ops = 0.0f64;
+        let mut sram_bytes = 0.0f64;
+        let mut occupancy_sum = 0.0f64;
+        let mut buffer_peak = 0.0f64;
+        // Trace-only address cursors (same address-space convention as the
+        // vxm pipeline: demand stream at 0, refetch at 1<<40, vectors at
+        // 1<<36).
+        let mut ev_demand_addr: u64 = 0;
+        let mut ev_vec_addr: u64 = 1 << 36;
+
+        for (s, st) in self.steps.iter().enumerate() {
+            // ---- Traffic accounting (engine-order: demand, refetch, vector
+            // read, write-back — each emitted event carries the exact `f64`
+            // increment added here, so the audit replays bitwise) ----
+            let c_bytes = st.out_entries as f64 * fetch_b;
+            let vec_read = share * (st.left_bytes + riders * 2.0 * c_bytes);
+            let writeback = share * (c_bytes + riders * c_bytes);
+            traffic.csc_bytes += st.demand;
+            traffic.refetch_bytes += st.refetch;
+            traffic.vector_bytes += vec_read;
+            traffic.writeback_bytes += writeback;
+            if S::ENABLED {
+                let step = s as u32;
+                if st.demand > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: ev_demand_addr,
+                        bytes: st.demand,
+                        class: TrafficClass::CscDemand,
+                        step,
+                    });
+                    ev_demand_addr += st.demand as u64;
+                }
+                if st.refetch > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: 1 << 40,
+                        bytes: st.refetch,
+                        class: TrafficClass::Refetch,
+                        step,
+                    });
+                }
+                if vec_read > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: ev_vec_addr,
+                        bytes: vec_read,
+                        class: TrafficClass::VectorRead,
+                        step,
+                    });
+                    ev_vec_addr += vec_read as u64;
+                }
+                if writeback > 0.0 {
+                    sink.emit(TraceEvent::DramWrite {
+                        addr: ev_vec_addr,
+                        bytes: writeback,
+                        class: TrafficClass::Writeback,
+                        step,
+                    });
+                    ev_vec_addr += writeback as u64;
+                }
+            }
+
+            // ---- Stage costs ----
+            let step_os_ops = share * st.products as f64 * 2.0;
+            let step_is_ops = share * st.out_entries as f64;
+            let step_ew_ops = share * riders * st.out_entries as f64;
+            let os_cycles = step_os_ops / (2.0 * pes);
+            let is_cycles = step_is_ops * ACC_SCATTER / (2.0 * pes);
+            let ew_cycles = step_ew_ops / pes;
+            let mem_bytes = st.demand + st.refetch + vec_read + writeback;
+            let mem_cycles = mem_bytes / bpc;
+            let step_cycles = os_cycles
+                .max(is_cycles)
+                .max(ew_cycles)
+                .max(mem_cycles)
+                .max(step_floor);
+
+            sram_bytes += 2.0 * mem_bytes;
+            let occupancy = st.resident_bytes + st.acc_peak as f64 * ACC_BYTES_PER_COL;
+            buffer_peak = buffer_peak.max(occupancy);
+            occupancy_sum += occupancy;
+            os_ops += step_os_ops;
+            is_ops += step_is_ops;
+            ew_ops += step_ew_ops;
+            total_cycles += step_cycles;
+            if S::ENABLED {
+                sink.emit(TraceEvent::StepEnd {
+                    step: s as u32,
+                    cycles: step_cycles,
+                    occupancy_bytes: occupancy,
+                });
+            }
+            steps_out.push(StepSample {
+                cycles: step_cycles,
+                csc_bytes: st.demand + st.refetch,
+                csr_bytes: 0.0,
+                vec_bytes: vec_read + writeback,
+                occupancy_bytes: occupancy,
+            });
+        }
+
+        // Pipeline fill/drain.
+        let steps = self.steps.len() as f64;
+        let avg_step = total_cycles / steps;
+        total_cycles += PIPELINE_STAGES * avg_step;
+
+        PassResult {
+            cycles: total_cycles,
+            traffic,
+            steps: steps_out,
+            evictions: self.evictions,
+            repacks: 0,
+            buffer_peak_bytes: buffer_peak,
+            buffer_avg_bytes: occupancy_sum / steps,
+            os_ops,
+            ew_ops,
+            is_ops,
+            sram_bytes,
+        }
+    }
+}
+
+/// Dispatches the semiring once, to [`plan_rows`] monomorphised over it.
+fn build_plan(
     arena: &MatrixArena,
     semiring: SemiringOp,
     config: &SparsepipeConfig,
-    params: &MxmParams,
-    sink: &mut S,
+    t_rows: usize,
     deadline: Option<&Deadline>,
-) -> Result<MxmOutcome, crate::CoreError> {
+    rows: Option<&mut CsrRows>,
+) -> Result<MxmPlan, crate::CoreError> {
+    match semiring {
+        SemiringOp::MulAdd => plan_rows::<MulAdd>(arena, config, t_rows, deadline, rows),
+        SemiringOp::AndOr => plan_rows::<AndOr>(arena, config, t_rows, deadline, rows),
+        SemiringOp::MinAdd => plan_rows::<MinAdd>(arena, config, t_rows, deadline, rows),
+        SemiringOp::ArilAdd => plan_rows::<ArilAdd>(arena, config, t_rows, deadline, rows),
+    }
+}
+
+/// The Gustavson sweep: for every row, fetch each demanded stationary
+/// row through the FIFO residency window, then merge it into the
+/// [`Spa`] — the accumulator of [`sparsepipe_tensor::spgemm::spgemm`].
+/// With `rows` the drain is sorted and `C` lands in `rows`; without it
+/// the drain only counts.
+fn plan_rows<R: Semiring>(
+    arena: &MatrixArena,
+    config: &SparsepipeConfig,
+    t_rows: usize,
+    deadline: Option<&Deadline>,
+    mut rows: Option<&mut CsrRows>,
+) -> Result<MxmPlan, crate::CoreError> {
     let n = arena.n();
-    let nnz = arena.nnz();
-    let bpc = config.memory.bytes_per_cycle(config.clock_ghz);
     let fetch_b = config.fetch_bytes_per_element();
     let elem_b = config.buffer_bytes_per_element();
-    let pes = config.pes_per_core as f64;
-    let share = params.fused_iterations;
-    let riders = params.ewise_matrix_passes;
-    let t_rows = params.t_rows.max(1);
-    let steps = step_count(n, t_rows);
+    let t_rows = t_rows.max(1);
+    let n_steps = step_count(n, t_rows);
     let residency_budget = config.buffer_bytes as f64 * RESIDENCY_FRACTION;
-    let step_floor = (config.memory.read_latency_ns * config.clock_ghz).max(1.0);
 
-    // Gustavson scratch — the exact SPA of `sparsepipe_tensor::spgemm`.
-    let zero = semiring.zero();
-    let mut acc = vec![zero; n as usize];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+    let mut spa = Spa::<R>::new(n);
 
     // Right-operand row residency: FIFO over row ids, byte-bounded.
     let mut resident = RowSet::with_capacity(n as usize);
@@ -247,49 +488,32 @@ pub(crate) fn execute_mxm_traced<S: TraceSink>(
     let mut resident_bytes = 0.0f64;
     let mut evicted_elements = 0u64;
 
-    let mut traffic = TrafficBreakdown::default();
-    let mut steps_out = Vec::with_capacity(steps);
-    let mut total_cycles = 0.0f64;
-    let mut os_ops = 0.0f64;
-    let mut ew_ops = 0.0f64;
-    let mut is_ops = 0.0f64;
-    let mut sram_bytes = 0.0f64;
-    let mut occupancy_sum = 0.0f64;
-    let mut buffer_peak = 0.0f64;
+    let mut steps = Vec::with_capacity(n_steps);
     let mut products_total = 0u64;
+    let mut out_total = 0u64;
     let mut peak_acc_cols = 0u32;
-    // Trace-only address cursors (same address-space convention as the
-    // vxm pipeline: demand stream at 0, refetch at 1<<40, vectors at
-    // 1<<36).
-    let mut ev_demand_addr: u64 = 0;
-    let mut ev_vec_addr: u64 = 1 << 36;
 
-    for s in 0..steps {
+    for s in 0..n_steps {
         if let Some(d) = deadline {
             d.check()?;
         }
         let row_lo = (s * t_rows) as u32;
         let row_hi = (((s + 1) * t_rows).min(n as usize)) as u32;
 
-        let mut step_demand = 0.0f64;
-        let mut step_refetch = 0.0f64;
-        let mut left_bytes = 0.0f64;
-        let mut step_products = 0u64;
-        let mut step_out_entries = 0u64;
-        let mut step_acc_peak = 0u32;
+        let mut step = PlanStep::default();
 
         for i in row_lo..row_hi {
             let (m_cols, m_vals) = arena.row(i);
-            left_bytes += m_cols.len() as f64 * fetch_b;
+            step.left_bytes += m_cols.len() as f64 * fetch_b;
             for (&k, &m_ik) in m_cols.iter().zip(m_vals) {
                 // ---- stationary-operand row fetch through the window ----
                 if !resident.contains(k) {
                     let row_bytes = arena.row_nnz(k) as f64 * elem_b;
                     let dram_bytes = arena.row_nnz(k) as f64 * fetch_b;
                     if ever_loaded.insert(k) {
-                        step_demand += dram_bytes;
+                        step.demand += dram_bytes;
                     } else {
-                        step_refetch += dram_bytes;
+                        step.refetch += dram_bytes;
                     }
                     resident.insert(k);
                     fifo.push_back(k);
@@ -303,149 +527,34 @@ pub(crate) fn execute_mxm_traced<S: TraceSink>(
                         }
                     }
                 }
-                // ---- Gustavson merge (exact tensor::spgemm arithmetic) ----
+                // ---- Gustavson merge ----
                 let (b_cols, b_vals) = arena.row(k);
-                step_products += b_cols.len() as u64;
-                for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-                    let j_us = j as usize;
-                    if acc[j_us] == zero && !touched.contains(&j) {
-                        touched.push(j);
-                    }
-                    acc[j_us] = semiring.add(acc[j_us], semiring.mul(m_ik, b_kj));
-                }
+                step.products += b_cols.len() as u64;
+                spa.scatter(m_ik, b_cols, b_vals);
             }
-            step_acc_peak = step_acc_peak.max(touched.len() as u32);
-            touched.sort_unstable();
-            for &j in &touched {
-                let v = acc[j as usize];
-                if v != zero {
-                    entries.push((i, j, v));
-                    step_out_entries += 1;
-                }
-                acc[j as usize] = zero;
-            }
-            touched.clear();
+            step.acc_peak = step.acc_peak.max(spa.live() as u32);
+            step.out_entries += match rows.as_deref_mut() {
+                Some(rows) => spa.drain_sorted(rows),
+                None => spa.drain_count(),
+            };
         }
+        step.resident_bytes = resident_bytes;
 
-        products_total += step_products;
-        peak_acc_cols = peak_acc_cols.max(step_acc_peak);
-
-        // ---- Traffic accounting (engine-order: demand, refetch, vector
-        // read, write-back — each emitted event carries the exact `f64`
-        // increment added here, so the audit replays bitwise) ----
-        let c_bytes = step_out_entries as f64 * fetch_b;
-        let vec_read = share * (left_bytes + riders * 2.0 * c_bytes);
-        let writeback = share * (c_bytes + riders * c_bytes);
-        traffic.csc_bytes += step_demand;
-        traffic.refetch_bytes += step_refetch;
-        traffic.vector_bytes += vec_read;
-        traffic.writeback_bytes += writeback;
-        if S::ENABLED {
-            let step = s as u32;
-            if step_demand > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: ev_demand_addr,
-                    bytes: step_demand,
-                    class: TrafficClass::CscDemand,
-                    step,
-                });
-                ev_demand_addr += step_demand as u64;
-            }
-            if step_refetch > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: 1 << 40,
-                    bytes: step_refetch,
-                    class: TrafficClass::Refetch,
-                    step,
-                });
-            }
-            if vec_read > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: ev_vec_addr,
-                    bytes: vec_read,
-                    class: TrafficClass::VectorRead,
-                    step,
-                });
-                ev_vec_addr += vec_read as u64;
-            }
-            if writeback > 0.0 {
-                sink.emit(TraceEvent::DramWrite {
-                    addr: ev_vec_addr,
-                    bytes: writeback,
-                    class: TrafficClass::Writeback,
-                    step,
-                });
-                ev_vec_addr += writeback as u64;
-            }
-        }
-
-        // ---- Stage costs ----
-        let step_os_ops = share * step_products as f64 * 2.0;
-        let step_is_ops = share * step_out_entries as f64;
-        let step_ew_ops = share * riders * step_out_entries as f64;
-        let os_cycles = step_os_ops / (2.0 * pes);
-        let is_cycles = step_is_ops * ACC_SCATTER / (2.0 * pes);
-        let ew_cycles = step_ew_ops / pes;
-        let mem_bytes = step_demand + step_refetch + vec_read + writeback;
-        let mem_cycles = mem_bytes / bpc;
-        let step_cycles = os_cycles
-            .max(is_cycles)
-            .max(ew_cycles)
-            .max(mem_cycles)
-            .max(step_floor);
-
-        sram_bytes += 2.0 * mem_bytes;
-        let occupancy = resident_bytes + step_acc_peak as f64 * ACC_BYTES_PER_COL;
-        buffer_peak = buffer_peak.max(occupancy);
-        occupancy_sum += occupancy;
-        os_ops += step_os_ops;
-        is_ops += step_is_ops;
-        ew_ops += step_ew_ops;
-        total_cycles += step_cycles;
-        if S::ENABLED {
-            sink.emit(TraceEvent::StepEnd {
-                step: s as u32,
-                cycles: step_cycles,
-                occupancy_bytes: occupancy,
-            });
-        }
-        steps_out.push(StepSample {
-            cycles: step_cycles,
-            csc_bytes: step_demand + step_refetch,
-            csr_bytes: 0.0,
-            vec_bytes: vec_read + writeback,
-            occupancy_bytes: occupancy,
-        });
+        products_total += step.products;
+        out_total += step.out_entries;
+        peak_acc_cols = peak_acc_cols.max(step.acc_peak);
+        steps.push(step);
     }
 
-    // Pipeline fill/drain.
-    let avg_step = total_cycles / steps as f64;
-    total_cycles += PIPELINE_STAGES * avg_step;
-
-    let result = CooMatrix::from_entries(n, n, entries)
-        .expect("coordinates in range")
-        .to_csr();
-    let out_nnz = result.nnz() as u64;
-    Ok(MxmOutcome {
+    Ok(MxmPlan {
+        t_rows,
+        steps,
+        evictions: evicted_elements,
         stats: MxmStats {
             intermediate_nnz: products_total,
-            out_nnz,
+            out_nnz: out_total,
             peak_accumulator_cols: peak_acc_cols,
-            expansion_factor: products_total as f64 / (nnz as f64).max(1.0),
-        },
-        result,
-        pass: PassResult {
-            cycles: total_cycles,
-            traffic,
-            steps: steps_out,
-            evictions: evicted_elements,
-            repacks: 0,
-            buffer_peak_bytes: buffer_peak,
-            buffer_avg_bytes: occupancy_sum / steps as f64,
-            os_ops,
-            ew_ops,
-            is_ops,
-            sram_bytes,
+            expansion_factor: products_total as f64 / (arena.nnz() as f64).max(1.0),
         },
     })
 }
@@ -453,7 +562,7 @@ pub(crate) fn execute_mxm_traced<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsepipe_tensor::gen;
+    use sparsepipe_tensor::{gen, CooMatrix};
 
     fn cfg() -> SparsepipeConfig {
         SparsepipeConfig::iso_gpu().with_preprocessing(crate::config::Preprocessing::none())

@@ -10,16 +10,24 @@
 //! in the substrate both completes the operator set and provides the
 //! reference kernel for any future intra-operator comparison.
 
-use sparsepipe_semiring::SemiringOp;
+use std::marker::PhantomData;
 
-use crate::{CooMatrix, CsrMatrix, TensorError};
+use sparsepipe_semiring::{AndOr, ArilAdd, MinAdd, MulAdd, Semiring, SemiringOp};
+
+use crate::{CsrMatrix, TensorError};
 
 /// Computes `C = A ⊕.⊗ B` over sparse operands with Gustavson's
 /// algorithm, under the given semiring. Entries that accumulate exactly
 /// to the semiring's zero are kept implicit (dropped).
 ///
-/// Runs in `O(Σ_i Σ_{k ∈ A[i]} nnz(B[k]))` time with a dense-scratch
-/// accumulator of one row (`O(B.ncols())` space).
+/// Runs in `O(Σ_i Σ_{k ∈ A[i]} nnz(B[k]) + Σ_i f_i log f_i)` time, where
+/// `f_i` is the number of distinct columns row `i` touches (the per-row
+/// sort of the [`Spa`] drain), with `O(B.ncols())` scratch: every scalar
+/// product costs O(1), because a per-row stamp array, not a scan of the
+/// touched-column list, detects the first touch of a column. The
+/// semiring is dispatched once per call to a kernel monomorphised over
+/// [`Semiring`]; each `C[i][j]` is folded as `acc = acc ⊕ (A[i][k] ⊗
+/// B[k][j])` in ascending `k` order.
 ///
 /// # Errors
 ///
@@ -53,46 +61,175 @@ pub fn spgemm(
             ),
         });
     }
-    let n_out_cols = b.ncols() as usize;
-    let zero = semiring.zero();
+    Ok(match semiring {
+        SemiringOp::MulAdd => gustavson::<MulAdd>(a, b),
+        SemiringOp::AndOr => gustavson::<AndOr>(a, b),
+        SemiringOp::MinAdd => gustavson::<MinAdd>(a, b),
+        SemiringOp::ArilAdd => gustavson::<ArilAdd>(a, b),
+    })
+}
 
-    // Dense scratch row + touched-column list (the classic SPA).
-    let mut acc = vec![zero; n_out_cols];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-
+fn gustavson<R: Semiring>(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+    let mut spa = Spa::<R>::new(b.ncols());
+    let mut rows = CsrRows::new();
     for i in 0..a.nrows() {
         let (a_cols, a_vals) = a.row(i);
         for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(k);
-            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-                let j_us = j as usize;
-                if acc[j_us] == zero && !touched.contains(&j) {
-                    touched.push(j);
-                }
-                acc[j_us] = semiring.add(acc[j_us], semiring.mul(a_ik, b_kj));
-            }
+            spa.scatter(a_ik, b_cols, b_vals);
         }
-        touched.sort_unstable();
-        for &j in &touched {
-            let v = acc[j as usize];
-            if v != zero {
-                entries.push((i, j, v));
-            }
-            acc[j as usize] = zero;
-        }
-        touched.clear();
+        spa.drain_sorted(&mut rows);
     }
-    Ok(CooMatrix::from_entries(a.nrows(), b.ncols(), entries)
-        .expect("coordinates in range")
-        .to_csr())
+    rows.into_csr(b.ncols())
+}
+
+/// Gustavson's sparse accumulator (SPA) for one output row at a time: a
+/// dense value row, the list of columns the row has touched, and a
+/// per-column stamp that makes "first touch" an O(1) test.
+///
+/// Feed a row with [`scatter`](Spa::scatter), once per `A[i][k]`, then
+/// close it with [`drain_sorted`](Spa::drain_sorted) (emit `C[i][*]`) or
+/// [`drain_count`](Spa::drain_count) (count it only). Both drains reset
+/// the accumulator for the next row.
+///
+/// ```
+/// use sparsepipe_semiring::MulAdd;
+/// use sparsepipe_tensor::spgemm::{CsrRows, Spa};
+///
+/// let mut spa = Spa::<MulAdd>::new(4);
+/// spa.scatter(2.0, &[3, 1], &[1.0, 5.0]);
+/// spa.scatter(1.0, &[1], &[-10.0]); // column 1 cancels to exactly 0
+/// assert_eq!(spa.live(), 2);
+/// let mut rows = CsrRows::new();
+/// assert_eq!(spa.drain_sorted(&mut rows), 1);
+/// assert_eq!(rows.into_csr(4).row(0), (&[3u32][..], &[2.0][..]));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Spa<R> {
+    acc: Vec<f64>,
+    /// `mark[j] == stamp` iff column `j` is in `touched` for this row.
+    mark: Vec<u32>,
+    stamp: u32,
+    touched: Vec<u32>,
+    semiring: PhantomData<R>,
+}
+
+impl<R: Semiring> Spa<R> {
+    /// An empty accumulator for output rows of `ncols` columns.
+    pub fn new(ncols: u32) -> Self {
+        Spa {
+            acc: vec![R::ZERO; ncols as usize],
+            mark: vec![0; ncols as usize],
+            stamp: 1,
+            touched: Vec::new(),
+            semiring: PhantomData,
+        }
+    }
+
+    /// Accumulates `a_ik ⊗ B[k][j]` into column `j` for every entry of
+    /// one row `B[k]` (`b_cols`, `b_vals`).
+    #[inline]
+    pub fn scatter(&mut self, a_ik: f64, b_cols: &[u32], b_vals: &[f64]) {
+        for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+            let j_us = j as usize;
+            if self.mark[j_us] != self.stamp {
+                self.mark[j_us] = self.stamp;
+                self.touched.push(j);
+            }
+            self.acc[j_us] = R::add(self.acc[j_us], R::mul(a_ik, b_kj));
+        }
+    }
+
+    /// Distinct columns the current row has touched — the live
+    /// accumulator width, whether or not they survive the drain.
+    pub fn live(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// Closes the current row: appends its entries `(j, v)` with
+    /// `v != R::ZERO` to `rows` in ascending column order, resets the
+    /// accumulator, and returns how many entries it appended.
+    pub fn drain_sorted(&mut self, rows: &mut CsrRows) -> u64 {
+        self.touched.sort_unstable();
+        let before = rows.col_idx.len();
+        for &j in &self.touched {
+            let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
+            if v != R::ZERO {
+                rows.col_idx.push(j);
+                rows.vals.push(v);
+            }
+        }
+        rows.row_ptr.push(rows.col_idx.len());
+        self.next_row();
+        (rows.col_idx.len() - before) as u64
+    }
+
+    /// Closes the current row without materialising it: counts the
+    /// entries [`drain_sorted`](Spa::drain_sorted) would emit, in
+    /// touch order, and resets the accumulator.
+    pub fn drain_count(&mut self) -> u64 {
+        let mut count = 0;
+        for &j in &self.touched {
+            let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
+            count += u64::from(v != R::ZERO);
+        }
+        self.next_row();
+        count
+    }
+
+    fn next_row(&mut self) {
+        self.touched.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.mark.fill(0);
+            self.stamp = 1;
+        }
+    }
+}
+
+/// The row-major arrays a sequence of [`Spa::drain_sorted`] calls
+/// fills, one row per drain.
+#[derive(Debug, Clone)]
+pub struct CsrRows {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Default for CsrRows {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CsrRows {
+    /// No rows yet.
+    pub fn new() -> Self {
+        CsrRows {
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            vals: Vec::new(),
+        }
+    }
+
+    /// The drained rows as a matrix of `ncols` columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a drained column is `>= ncols` (the accumulator was
+    /// wider than the matrix).
+    pub fn into_csr(self, ncols: u32) -> CsrMatrix {
+        let nrows = (self.row_ptr.len() - 1) as u32;
+        CsrMatrix::from_raw_parts(nrows, ncols, self.row_ptr, self.col_idx, self.vals)
+            .expect("sorted SPA drains are valid CSR rows")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::DenseVector;
+    use crate::{CooMatrix, DenseVector};
 
     fn dense_of(m: &CsrMatrix) -> Vec<Vec<f64>> {
         let mut d = vec![vec![0.0; m.ncols() as usize]; m.nrows() as usize];
@@ -213,5 +350,22 @@ mod tests {
             .to_csr();
         let c = spgemm(&a, &b, SemiringOp::MulAdd).unwrap();
         assert_eq!(c.nnz(), 0);
+    }
+
+    #[test]
+    fn stamp_wraparound_clears_marks() {
+        // Column 1 keeps the mark of the first row (stamp 1) until the
+        // stamp wraps back to 1; unless the wrap clears the marks, its
+        // next first touch goes unrecorded and the row drains empty.
+        let mut spa = Spa::<sparsepipe_semiring::MulAdd>::new(3);
+        spa.scatter(1.0, &[1], &[5.0]);
+        assert_eq!(spa.drain_count(), 1);
+        spa.stamp = u32::MAX;
+        assert_eq!(spa.drain_count(), 0);
+        assert_eq!(spa.stamp, 1);
+        spa.scatter(1.0, &[1], &[3.0]);
+        let mut rows = CsrRows::new();
+        assert_eq!(spa.drain_sorted(&mut rows), 1);
+        assert_eq!(rows.into_csr(3).row(0), (&[1u32][..], &[3.0][..]));
     }
 }

@@ -19,6 +19,9 @@
 //!   against bit for bit;
 //! * [`mm_oracle`] — the reference `lines()`-based MatrixMarket reader
 //!   the byte-level tokenizer is checked against bit for bit;
+//! * [`spgemm_oracle`] — the original Gustavson loops (tensor kernel and
+//!   mxm stage, with their quadratic duplicate-column scan) the shared
+//!   SPA kernel is checked against bit for bit;
 //! * [`dualbuffer_oracle`] — the pre-arena `BTreeMap` dual buffer and
 //!   its pass driver, the oracle the arena-backed buffer is checked
 //!   against bit for bit;
@@ -1490,6 +1493,328 @@ pub mod dualbuffer_oracle {
             assert_eq!(s.fetched_bytes, 2 * ELEM_BYTES);
             assert_eq!(s.refetch_bytes, 3 * ELEM_BYTES);
             assert!(s.peak_bytes > 0);
+        }
+    }
+}
+
+pub mod spgemm_oracle {
+    //! The original Gustavson loops, kept out of release builds as the
+    //! oracle for the shared SPA kernel
+    //! ([`sparsepipe_tensor::spgemm::Spa`]): [`spgemm`] is the former
+    //! [`sparsepipe_tensor::spgemm::spgemm`], and [`mxm_pass`] the
+    //! former mxm pipeline stage, which built `C` on every pass.
+    //!
+    //! Both remove duplicate columns with a linear `touched.contains`
+    //! scan inside the product loop, so a row costs time quadratic in
+    //! its fill. The production kernel must match them bit for bit —
+    //! values, statistics, timing and trace events
+    //! (`crates/core/tests/spgemm_differential.rs`).
+
+    use sparsepipe_core::pipeline::{PassResult, StepSample};
+    use sparsepipe_core::spgemm::{
+        MxmOutcome, MxmParams, MxmStats, ACC_BYTES_PER_COL, RESIDENCY_FRACTION,
+    };
+    use sparsepipe_core::{MatrixArena, RowSet, SparsepipeConfig, TrafficBreakdown};
+    use sparsepipe_semiring::SemiringOp;
+    use sparsepipe_tensor::{CooMatrix, CsrMatrix, TensorError};
+    use sparsepipe_trace::{TraceEvent, TraceSink, TrafficClass};
+
+    /// Accumulator scatter serialization of the mxm stage's timing model.
+    const ACC_SCATTER: f64 = 1.1;
+
+    /// Pipeline fill/drain steps of the mxm stage's timing model.
+    const PIPELINE_STAGES: f64 = 3.0;
+
+    /// Reference for [`sparsepipe_tensor::spgemm::spgemm`].
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::DimensionMismatch`] if `A.ncols() != B.nrows()`.
+    pub fn spgemm(
+        a: &CsrMatrix,
+        b: &CsrMatrix,
+        semiring: SemiringOp,
+    ) -> Result<CsrMatrix, TensorError> {
+        if a.ncols() != b.nrows() {
+            return Err(TensorError::DimensionMismatch {
+                context: format!(
+                    "spgemm: A is {}x{}, B is {}x{}",
+                    a.nrows(),
+                    a.ncols(),
+                    b.nrows(),
+                    b.ncols()
+                ),
+            });
+        }
+        let n_out_cols = b.ncols() as usize;
+        let zero = semiring.zero();
+
+        // Dense scratch row + touched-column list (the classic SPA).
+        let mut acc = vec![zero; n_out_cols];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+
+        for i in 0..a.nrows() {
+            let (a_cols, a_vals) = a.row(i);
+            for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
+                let (b_cols, b_vals) = b.row(k);
+                for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                    let j_us = j as usize;
+                    if acc[j_us] == zero && !touched.contains(&j) {
+                        touched.push(j);
+                    }
+                    acc[j_us] = semiring.add(acc[j_us], semiring.mul(a_ik, b_kj));
+                }
+            }
+            touched.sort_unstable();
+            for &j in &touched {
+                let v = acc[j as usize];
+                if v != zero {
+                    entries.push((i, j, v));
+                }
+                acc[j as usize] = zero;
+            }
+            touched.clear();
+        }
+        Ok(CooMatrix::from_entries(a.nrows(), b.ncols(), entries)
+            .expect("coordinates in range")
+            .to_csr())
+    }
+
+    /// Reference for one mxm pass over `M ⊕.⊗ M`: the result
+    /// ([`sparsepipe_core::spgemm::MxmRequest`]), and the timing pass and
+    /// statistics ([`sparsepipe_core::spgemm::MxmPlan`] replay), with the
+    /// same trace events.
+    pub fn mxm_pass<S: TraceSink>(
+        arena: &MatrixArena,
+        semiring: SemiringOp,
+        config: &SparsepipeConfig,
+        params: &MxmParams,
+        sink: &mut S,
+    ) -> MxmOutcome {
+        let n = arena.n();
+        let nnz = arena.nnz();
+        let bpc = config.memory.bytes_per_cycle(config.clock_ghz);
+        let fetch_b = config.fetch_bytes_per_element();
+        let elem_b = config.buffer_bytes_per_element();
+        let pes = config.pes_per_core as f64;
+        let share = params.fused_iterations;
+        let riders = params.ewise_matrix_passes;
+        let t_rows = params.t_rows.max(1);
+        let steps = (n as usize).div_ceil(t_rows).max(1);
+        let residency_budget = config.buffer_bytes as f64 * RESIDENCY_FRACTION;
+        let step_floor = (config.memory.read_latency_ns * config.clock_ghz).max(1.0);
+
+        // Gustavson scratch — the SPA of [`spgemm`] above.
+        let zero = semiring.zero();
+        let mut acc = vec![zero; n as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+
+        // Right-operand row residency: FIFO over row ids, byte-bounded.
+        let mut resident = RowSet::with_capacity(n as usize);
+        let mut ever_loaded = RowSet::with_capacity(n as usize);
+        let mut fifo: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
+        let mut resident_bytes = 0.0f64;
+        let mut evicted_elements = 0u64;
+
+        let mut traffic = TrafficBreakdown::default();
+        let mut steps_out = Vec::with_capacity(steps);
+        let mut total_cycles = 0.0f64;
+        let mut os_ops = 0.0f64;
+        let mut ew_ops = 0.0f64;
+        let mut is_ops = 0.0f64;
+        let mut sram_bytes = 0.0f64;
+        let mut occupancy_sum = 0.0f64;
+        let mut buffer_peak = 0.0f64;
+        let mut products_total = 0u64;
+        let mut peak_acc_cols = 0u32;
+        // Trace-only address cursors (same address-space convention as the
+        // vxm pipeline: demand stream at 0, refetch at 1<<40, vectors at
+        // 1<<36).
+        let mut ev_demand_addr: u64 = 0;
+        let mut ev_vec_addr: u64 = 1 << 36;
+
+        for s in 0..steps {
+            let row_lo = (s * t_rows) as u32;
+            let row_hi = (((s + 1) * t_rows).min(n as usize)) as u32;
+
+            let mut step_demand = 0.0f64;
+            let mut step_refetch = 0.0f64;
+            let mut left_bytes = 0.0f64;
+            let mut step_products = 0u64;
+            let mut step_out_entries = 0u64;
+            let mut step_acc_peak = 0u32;
+
+            for i in row_lo..row_hi {
+                let (m_cols, m_vals) = arena.row(i);
+                left_bytes += m_cols.len() as f64 * fetch_b;
+                for (&k, &m_ik) in m_cols.iter().zip(m_vals) {
+                    // ---- stationary-operand row fetch through the window ----
+                    if !resident.contains(k) {
+                        let row_bytes = arena.row_nnz(k) as f64 * elem_b;
+                        let dram_bytes = arena.row_nnz(k) as f64 * fetch_b;
+                        if ever_loaded.insert(k) {
+                            step_demand += dram_bytes;
+                        } else {
+                            step_refetch += dram_bytes;
+                        }
+                        resident.insert(k);
+                        fifo.push_back(k);
+                        resident_bytes += row_bytes;
+                        while resident_bytes > residency_budget && fifo.len() > 1 {
+                            let victim = fifo.pop_front().expect("fifo non-empty");
+                            if resident.remove(victim) {
+                                let victim_nnz = arena.row_nnz(victim);
+                                resident_bytes -= victim_nnz as f64 * elem_b;
+                                evicted_elements += victim_nnz as u64;
+                            }
+                        }
+                    }
+                    // ---- Gustavson merge (exact tensor::spgemm arithmetic) ----
+                    let (b_cols, b_vals) = arena.row(k);
+                    step_products += b_cols.len() as u64;
+                    for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                        let j_us = j as usize;
+                        if acc[j_us] == zero && !touched.contains(&j) {
+                            touched.push(j);
+                        }
+                        acc[j_us] = semiring.add(acc[j_us], semiring.mul(m_ik, b_kj));
+                    }
+                }
+                step_acc_peak = step_acc_peak.max(touched.len() as u32);
+                touched.sort_unstable();
+                for &j in &touched {
+                    let v = acc[j as usize];
+                    if v != zero {
+                        entries.push((i, j, v));
+                        step_out_entries += 1;
+                    }
+                    acc[j as usize] = zero;
+                }
+                touched.clear();
+            }
+
+            products_total += step_products;
+            peak_acc_cols = peak_acc_cols.max(step_acc_peak);
+
+            // ---- Traffic accounting (engine-order: demand, refetch, vector
+            // read, write-back — each emitted event carries the exact `f64`
+            // increment added here, so the audit replays bitwise) ----
+            let c_bytes = step_out_entries as f64 * fetch_b;
+            let vec_read = share * (left_bytes + riders * 2.0 * c_bytes);
+            let writeback = share * (c_bytes + riders * c_bytes);
+            traffic.csc_bytes += step_demand;
+            traffic.refetch_bytes += step_refetch;
+            traffic.vector_bytes += vec_read;
+            traffic.writeback_bytes += writeback;
+            if S::ENABLED {
+                let step = s as u32;
+                if step_demand > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: ev_demand_addr,
+                        bytes: step_demand,
+                        class: TrafficClass::CscDemand,
+                        step,
+                    });
+                    ev_demand_addr += step_demand as u64;
+                }
+                if step_refetch > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: 1 << 40,
+                        bytes: step_refetch,
+                        class: TrafficClass::Refetch,
+                        step,
+                    });
+                }
+                if vec_read > 0.0 {
+                    sink.emit(TraceEvent::DramRead {
+                        addr: ev_vec_addr,
+                        bytes: vec_read,
+                        class: TrafficClass::VectorRead,
+                        step,
+                    });
+                    ev_vec_addr += vec_read as u64;
+                }
+                if writeback > 0.0 {
+                    sink.emit(TraceEvent::DramWrite {
+                        addr: ev_vec_addr,
+                        bytes: writeback,
+                        class: TrafficClass::Writeback,
+                        step,
+                    });
+                    ev_vec_addr += writeback as u64;
+                }
+            }
+
+            // ---- Stage costs ----
+            let step_os_ops = share * step_products as f64 * 2.0;
+            let step_is_ops = share * step_out_entries as f64;
+            let step_ew_ops = share * riders * step_out_entries as f64;
+            let os_cycles = step_os_ops / (2.0 * pes);
+            let is_cycles = step_is_ops * ACC_SCATTER / (2.0 * pes);
+            let ew_cycles = step_ew_ops / pes;
+            let mem_bytes = step_demand + step_refetch + vec_read + writeback;
+            let mem_cycles = mem_bytes / bpc;
+            let step_cycles = os_cycles
+                .max(is_cycles)
+                .max(ew_cycles)
+                .max(mem_cycles)
+                .max(step_floor);
+
+            sram_bytes += 2.0 * mem_bytes;
+            let occupancy = resident_bytes + step_acc_peak as f64 * ACC_BYTES_PER_COL;
+            buffer_peak = buffer_peak.max(occupancy);
+            occupancy_sum += occupancy;
+            os_ops += step_os_ops;
+            is_ops += step_is_ops;
+            ew_ops += step_ew_ops;
+            total_cycles += step_cycles;
+            if S::ENABLED {
+                sink.emit(TraceEvent::StepEnd {
+                    step: s as u32,
+                    cycles: step_cycles,
+                    occupancy_bytes: occupancy,
+                });
+            }
+            steps_out.push(StepSample {
+                cycles: step_cycles,
+                csc_bytes: step_demand + step_refetch,
+                csr_bytes: 0.0,
+                vec_bytes: vec_read + writeback,
+                occupancy_bytes: occupancy,
+            });
+        }
+
+        // Pipeline fill/drain.
+        let avg_step = total_cycles / steps as f64;
+        total_cycles += PIPELINE_STAGES * avg_step;
+
+        let result = CooMatrix::from_entries(n, n, entries)
+            .expect("coordinates in range")
+            .to_csr();
+        let out_nnz = result.nnz() as u64;
+        MxmOutcome {
+            stats: MxmStats {
+                intermediate_nnz: products_total,
+                out_nnz,
+                peak_accumulator_cols: peak_acc_cols,
+                expansion_factor: products_total as f64 / (nnz as f64).max(1.0),
+            },
+            result,
+            pass: PassResult {
+                cycles: total_cycles,
+                traffic,
+                steps: steps_out,
+                evictions: evicted_elements,
+                repacks: 0,
+                buffer_peak_bytes: buffer_peak,
+                buffer_avg_bytes: occupancy_sum / steps as f64,
+                os_ops,
+                ew_ops,
+                is_ops,
+                sram_bytes,
+            },
         }
     }
 }
