@@ -1,7 +1,7 @@
 //! End-to-end mini-sweep benchmark: the fixed-seed Quick sweep evaluated
 //! point-by-point with and without the sweep-level [`MatrixCache`],
-//! self-timed (the vendored criterion stub is single-shot) and recorded
-//! into `BENCH_core.json` under the `mini_sweep` key.
+//! self-timed and recorded into `BENCH_core.json` under the `mini_sweep`
+//! key.
 //!
 //! Doubles as a smoke differential: the cached and uncached entries must
 //! be equal before either time is reported.

@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure of the paper's §V–§VI. The
 //! `experiments` binary (`cargo run -p sparsepipe-bench --release --bin
-//! experiments -- all`) prints each artifact; Criterion benches under
-//! `benches/` wrap the hot paths.
+//! experiments -- all`) prints each artifact; the self-timed
+//! `benches/mini_sweep.rs` times the cached and uncached sweep.
 //!
 //! # Scaling
 //!

@@ -5,7 +5,10 @@
 //! [`wire`](crate::serve::wire)). The prefix makes message boundaries
 //! explicit over a byte stream — no sentinel scanning, no ambiguity
 //! with newlines inside JSON strings — and lets the reader reject
-//! oversized frames *before* allocating for them.
+//! oversized frames *before* allocating for them. A frame within the
+//! limit is read into a buffer that starts at 64 KiB at most and grows
+//! only as payload bytes arrive, so a peer that declares a large frame
+//! and stalls pins no more than that.
 
 use std::io::{self, Read, Write};
 
@@ -13,6 +16,10 @@ use std::io::{self, Read, Write};
 /// the scales the harness sweeps, small enough that a malformed or
 /// hostile length prefix cannot balloon allocation.
 pub const MAX_FRAME_DEFAULT: usize = 8 * 1024 * 1024;
+
+/// The most a frame's payload buffer holds before any payload byte has
+/// arrived, whatever length the header declares.
+const INITIAL_PAYLOAD_CAPACITY: usize = 64 * 1024;
 
 /// Writes one frame: 4-byte big-endian length, then the payload.
 ///
@@ -66,8 +73,14 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Option<Str
             format!("frame length {len} exceeds the {max_frame}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_PAYLOAD_CAPACITY));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame payload",
+        ));
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 frame: {e}")))
@@ -98,6 +111,60 @@ mod tests {
             Some("αβγ")
         );
         assert!(read_frame(&mut r, MAX_FRAME_DEFAULT).unwrap().is_none());
+    }
+
+    /// Hands out at most one byte per read, and records the largest
+    /// buffer a caller offered.
+    struct Trickle {
+        bytes: Cursor<Vec<u8>>,
+        largest_request: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            let end = buf.len().min(1);
+            self.bytes.read(&mut buf[..end])
+        }
+    }
+
+    fn trickle(bytes: Vec<u8>) -> Trickle {
+        Trickle {
+            bytes: Cursor::new(bytes),
+            largest_request: 0,
+        }
+    }
+
+    #[test]
+    fn frame_over_initial_capacity_arrives_one_byte_at_a_time() {
+        let payload = format!(r#"{{"blob":"{}"}}"#, "x".repeat(100_000));
+        assert!(payload.len() > INITIAL_PAYLOAD_CAPACITY);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        write_frame(&mut buf, "{}").unwrap();
+        let mut r = trickle(buf);
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_DEFAULT).unwrap().as_deref(),
+            Some(payload.as_str())
+        );
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_DEFAULT).unwrap().as_deref(),
+            Some("{}")
+        );
+        assert!(read_frame(&mut r, MAX_FRAME_DEFAULT).unwrap().is_none());
+    }
+
+    #[test]
+    fn header_declaring_the_limit_then_eof_allocates_only_the_initial_buffer() {
+        let declared = u32::try_from(MAX_FRAME_DEFAULT).unwrap();
+        let mut r = trickle(declared.to_be_bytes().to_vec());
+        let err = read_frame(&mut r, MAX_FRAME_DEFAULT).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest_request <= INITIAL_PAYLOAD_CAPACITY,
+            "the reader offered a {}-byte buffer before any payload arrived",
+            r.largest_request
+        );
     }
 
     #[test]

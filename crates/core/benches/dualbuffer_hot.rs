@@ -9,10 +9,9 @@
 //!   enters the CSR space and drains through per-row windows, so the
 //!   pass is dominated by reservation/consume bookkeeping.
 //!
-//! The vendored `criterion` stand-in is single-shot, so this bench times
-//! itself (best-of-`REPS` wall clock per implementation), asserts the
-//! two implementations agree bitwise, prints a summary, and upserts the
-//! numbers into `BENCH_core.json` at the workspace root via
+//! The bench times itself (best-of-`REPS` wall clock per implementation),
+//! asserts the two implementations agree bitwise, prints a summary, and
+//! upserts the numbers into `BENCH_core.json` at the workspace root via
 //! `sparsepipe_testutil::benchjson`.
 
 use std::path::Path;

@@ -8,12 +8,12 @@
 //! * **count** — `MxmPlan::build` plus one `replay`, the engine's
 //!   count-only path (kernel, residency window and timing, no `C`).
 //!
-//! The vendored `criterion` stand-in is single-shot, so this bench times
-//! itself (median and spread of `REPS` wall-clock runs per path, the
-//! paths rotating order each rep), asserts the kernel and the oracle
-//! agree bitwise and that the count path counts the oracle's entries,
-//! prints a summary, and upserts the numbers into `BENCH_core.json` at
-//! the workspace root via `sparsepipe_testutil::benchjson`.
+//! The bench times itself (median and spread of `REPS` wall-clock runs
+//! per path, the paths rotating order each rep), asserts the kernel and
+//! the oracle agree bitwise and that the count path counts the oracle's
+//! entries, prints a summary, and upserts the numbers into
+//! `BENCH_core.json` at the workspace root via
+//! `sparsepipe_testutil::benchjson`.
 
 use std::hint::black_box;
 use std::path::Path;

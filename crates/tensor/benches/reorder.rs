@@ -8,11 +8,11 @@
 //! * **`table1@64`** — all nine Table-I matrices at 1/64 scale, run one
 //!   after another, as the Fig 14 sweep prepares them.
 //!
-//! The vendored `criterion` stand-in is single-shot, so this bench times
-//! itself (median of `REPS` wall-clock runs per implementation, the two
-//! alternating), asserts the outputs are bitwise equal, prints a summary,
-//! and upserts the numbers into `BENCH_core.json` at the workspace root
-//! via `sparsepipe_testutil::benchjson`.
+//! The bench times itself (median of `REPS` wall-clock runs per
+//! implementation, the two alternating), asserts the outputs are bitwise
+//! equal, prints a summary, and upserts the numbers into
+//! `BENCH_core.json` at the workspace root via
+//! `sparsepipe_testutil::benchjson`.
 
 use std::hint::black_box;
 use std::path::Path;

@@ -16,9 +16,19 @@
 //!
 //! Both return a permutation `perm` with `perm[old] = new`, applied
 //! symmetrically via [`CooMatrix::permute_symmetric`].
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! [`graph_order`] is the offline step every dataset takes, so nothing in
+//! it sorts: a pass over the CSR input counts each vertex's distinct
+//! neighbors (an entry stored in both directions is found by a binary
+//! search of its mirror's sorted row), vertices are ranked by a stable
+//! counting sort on degree, the undirected adjacency is counting-sorted
+//! straight into rank order, and the placement queue is an exact bucket
+//! queue — one bitset of ranks per score level, all in one allocation. A score change costs `O(1)` (one bit moves to
+//! the adjacent level); a pop scans the summary words (one per 64 bitset
+//! words) of the highest non-empty level from its low-word hint. The
+//! queue's bitsets take at most `(min(window, max_degree) + 1) · n / 8`
+//! bytes (each level rounded up to whole words), and its summaries 1/64
+//! of that.
 
 use crate::{CooMatrix, CsrMatrix};
 
@@ -28,15 +38,21 @@ use crate::{CooMatrix, CsrMatrix};
 /// with the most neighbors among the last `window` placed vertices (its
 /// *score*), ties broken by higher degree, then lower index.
 ///
-/// Scores are bounded by `min(window, max degree)`, so the placement
-/// queue is one bucket per score level: each level is a lazy min-heap of
-/// `u32` ranks in the fixed (degree desc, index asc) order, with a pointer
-/// to the highest non-empty level. Level 0 is a cursor over that rank
-/// order plus a small heap of vertices whose score fell back to 0. Every
-/// edge changes a score at most twice (once entering, once leaving the
-/// window), so there are at most `4 · nnz` pushes, and a level purges its
-/// stale entries whenever it doubles. The run is `O(nnz · log n)` time
-/// and `O(n + nnz)` memory; intended for offline preprocessing.
+/// Vertices are ranked once by (degree desc, index asc) with a stable
+/// counting sort, the adjacency is built with rows and neighbors in rank
+/// order, and the placement queue keeps one bitset of ranks per
+/// score level (see `ScoreBuckets`): a score change moves one bit between
+/// adjacent levels in `O(1)`, and a pop takes the lowest set bit of the
+/// highest non-empty level, found by scanning one summary word per 64
+/// bitset words. Every edge changes a score at most twice (once entering,
+/// once leaving the window), so the run is `O(nnz)` score changes plus
+/// `n` pops, each scanning summary words from the level's low-word hint.
+/// A vertex never scores above its degree, so level `s` only spans the
+/// ranks of vertices of degree `≥ s`: the bitsets hold at most
+/// `n + Σ_v min(deg v, window)` bits, within
+/// `(min(window, max_degree) + 1) · n / 8` bytes (each level rounded up
+/// to whole words), beside the `O(n + nnz)` adjacency. Intended for
+/// offline preprocessing.
 ///
 /// Returns the permutation `perm[old] = new`.
 ///
@@ -57,51 +73,71 @@ pub fn graph_order(m: &CsrMatrix, window: usize) -> Vec<u32> {
         return Vec::new();
     }
     let window = window.max(1);
-    let mut adj = Adjacency::undirected(m);
+    let edges = UndirectedEdges::of(m);
 
-    // order[rank] = vertex, ranked by (degree desc, index asc); a stable
-    // sort keeps equal degrees in index order. The placement loop works
-    // on ranks throughout, so neighbor lists are relabeled to ranks.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&v| Reverse(adj.degree(v)));
+    // order[rank] = vertex, ranked by (degree desc, index asc): a stable
+    // counting sort over degrees. at_least[d] starts as the first rank of
+    // degree d and ends as the number of vertices of degree ≥ d.
+    let degree = &edges.degree;
+    let max_degree = degree.iter().copied().max().unwrap_or(0) as usize;
+    let mut at_least = vec![0u32; max_degree + 2];
+    for &d in degree {
+        at_least[d as usize] += 1;
+    }
+    let mut above = 0;
+    for d in (0..=max_degree).rev() {
+        let count = at_least[d];
+        at_least[d] = above;
+        above += count;
+    }
+    let mut order = vec![0u32; n];
     let mut rank = vec![0u32; n];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v as usize] = r as u32;
+    for (v, &d) in degree.iter().enumerate() {
+        let next = &mut at_least[d as usize];
+        order[*next as usize] = v as u32;
+        rank[v] = *next;
+        *next += 1;
     }
-    for u in &mut adj.neighbors {
-        *u = rank[*u as usize];
-    }
-    let max_degree = adj.degree(order[0]);
+    // The placement loop works on ranks throughout, so the adjacency is
+    // built in rank order: row r lists rank r's neighbors as ranks.
+    let adj = Adjacency::new(m, &edges, &rank);
+    drop(rank);
 
+    // Rank 0 has the top degree and is placed first, at score 0, so no
+    // vertex still unplaced after it can score above the runner-up's
+    // degree.
+    let runner_up = order.get(1).map_or(0, |&v| degree[v as usize] as usize);
+    let mut queue = ScoreBuckets::new(&at_least[..=window.min(runner_up)]);
+    drop(edges);
     // score[r] = number of r's neighbors among the last `window` placed,
     // or PLACED once r itself is placed.
     let mut score = vec![0u32; n];
     let mut perm = vec![0u32; n];
-    // sequence[position] = vertex placed there (the window's history).
+    // sequence[position] = rank placed there (the window's history).
     let mut sequence: Vec<u32> = Vec::with_capacity(n);
-    let mut queue = ScoreQueue::new(window.min(max_degree));
 
     for position in 0..n {
-        let r = queue.pop(&score);
+        let r = queue.pop();
         score[r as usize] = PLACED;
-        let v = order[r as usize];
-        perm[v as usize] = position as u32;
-        sequence.push(v);
+        perm[order[r as usize] as usize] = position as u32;
+        sequence.push(r);
 
         // The vertex falling out of the window lowers its unplaced
         // neighbors' scores.
         if position >= window {
             for &u in adj.row(sequence[position - window]) {
-                if score[u as usize] != PLACED {
-                    score[u as usize] -= 1;
-                    queue.push(u, &score);
+                let s = &mut score[u as usize];
+                if *s != PLACED {
+                    queue.demote(u, *s as usize);
+                    *s -= 1;
                 }
             }
         }
-        for &u in adj.row(v) {
-            if score[u as usize] != PLACED {
-                score[u as usize] += 1;
-                queue.push(u, &score);
+        for &u in adj.row(r) {
+            let s = &mut score[u as usize];
+            if *s != PLACED {
+                queue.promote(u, *s as usize);
+                *s += 1;
             }
         }
     }
@@ -111,98 +147,131 @@ pub fn graph_order(m: &CsrMatrix, window: usize) -> Vec<u32> {
 /// The score of a placed vertex: above every level, so never live.
 const PLACED: u32 = u32::MAX;
 
-/// The GraphOrder placement queue: per-score buckets of vertex ranks.
+/// The GraphOrder placement queue: an exact bucket queue of vertex ranks,
+/// one bitset per score level.
 ///
-/// Entries are lazy: a rank is re-pushed at its new level whenever its
-/// score changes, and an entry is stale (skipped on pop) once its vertex
-/// is placed or has left that level.
-struct ScoreQueue {
-    /// `levels[s]` holds ranks pushed at score `s`; `levels[0]` only those
-    /// whose score fell back to 0 (the rest are reached by `cursor`).
-    levels: Vec<Level>,
-    /// Highest level that may hold a live entry.
+/// All levels share one allocation. Level `s` covers ranks `0..len[s]`,
+/// where `len[s]` is the number of vertices of degree `≥ s` (the only
+/// ranks that can score `s`): its bitset words are followed by one
+/// summary word per 64 of them, whose bit `i` is set exactly when bitset
+/// word `i` is non-zero.
+struct ScoreBuckets {
+    words: Vec<u64>,
+    levels: Vec<Bucket>,
+    /// Highest level that may hold a rank; every level above it is empty.
     top: usize,
-    /// Next rank to consider among vertices that were never pushed.
-    cursor: usize,
 }
 
-/// One score level: a lazy min-heap of ranks, purged of stale entries
-/// whenever it outgrows `limit`.
-struct Level {
-    heap: BinaryHeap<Reverse<u32>>,
-    limit: usize,
+/// One score level of [`ScoreBuckets`].
+#[derive(Clone, Copy)]
+struct Bucket {
+    /// Index in `words` of the level's first bitset word.
+    start: usize,
+    /// Bitset words; the summary words start at `start + len`.
+    len: usize,
+    /// Ranks in the level.
+    live: u32,
+    /// Every bitset word below this one is zero.
+    hint: usize,
 }
 
-/// Floor of a level's purge limit, so near-empty levels are not purged
-/// on every push.
-const LEVEL_SLACK: usize = 16;
-
-impl ScoreQueue {
-    fn new(max_score: usize) -> Self {
-        ScoreQueue {
-            levels: (0..=max_score)
-                .map(|_| Level {
-                    heap: BinaryHeap::new(),
-                    limit: LEVEL_SLACK,
-                })
-                .collect(),
+impl ScoreBuckets {
+    /// A queue with levels `0..len.len()`, where level `s` covers ranks
+    /// `0..len[s]`, holding every rank of level 0 (all scores start at 0).
+    fn new(len: &[u32]) -> Self {
+        let mut levels = Vec::with_capacity(len.len());
+        let mut total = 0;
+        for &ranks in len {
+            let words = (ranks as usize).div_ceil(64);
+            levels.push(Bucket {
+                start: total,
+                len: words,
+                live: 0,
+                hint: 0,
+            });
+            total += words + words.div_ceil(64);
+        }
+        let mut queue = ScoreBuckets {
+            words: vec![0; total],
+            levels,
             top: 0,
-            cursor: 0,
-        }
+        };
+        let Bucket {
+            start, len: words, ..
+        } = queue.levels[0];
+        let (bits, summary) = queue.words[start..].split_at_mut(words);
+        set_prefix(bits, len[0] as usize);
+        set_prefix(summary, words);
+        queue.levels[0].live = len[0];
+        queue
     }
 
-    /// Files `rank` under its current score. Most entries go stale (a
-    /// vertex's score moves up and down as the window slides past its
-    /// neighbors), so a level that reaches its limit first drops its
-    /// stale entries and doubles what is left: each heap stays within
-    /// about twice its live entries at amortized `O(1)` purge cost.
-    fn push(&mut self, rank: u32, score: &[u32]) {
-        let level = score[rank as usize] as usize;
-        let Level { heap, limit } = &mut self.levels[level];
-        if heap.len() >= *limit {
-            heap.retain(|&Reverse(r)| score[r as usize] as usize == level);
-            *limit = 2 * heap.len() + LEVEL_SLACK;
-        }
-        heap.push(Reverse(rank));
-        self.top = self.top.max(level);
+    /// Moves `rank` from level `s` to level `s + 1`.
+    fn promote(&mut self, rank: u32, s: usize) {
+        self.remove(s, rank);
+        self.insert(s + 1, rank);
+        self.top = self.top.max(s + 1);
     }
 
-    /// Removes and returns the live rank with the highest score and,
-    /// among those, the lowest rank. `score` is indexed by rank.
-    fn pop(&mut self, score: &[u32]) -> u32 {
-        while self.top > 0 {
-            let level = self.top as u32;
-            let heap = &mut self.levels[self.top].heap;
-            while let Some(Reverse(rank)) = heap.pop() {
-                if score[rank as usize] == level {
-                    return rank;
-                }
-            }
+    /// Moves `rank` from level `s` to level `s - 1`.
+    fn demote(&mut self, rank: u32, s: usize) {
+        self.remove(s, rank);
+        self.insert(s - 1, rank);
+    }
+
+    fn insert(&mut self, s: usize, rank: u32) {
+        let level = &mut self.levels[s];
+        let w = rank as usize / 64;
+        let word = level.start + w;
+        if self.words[word] == 0 {
+            self.words[level.start + level.len + w / 64] |= 1 << (w % 64);
+        }
+        self.words[word] |= 1 << (rank % 64);
+        level.live += 1;
+        level.hint = level.hint.min(w);
+    }
+
+    fn remove(&mut self, s: usize, rank: u32) {
+        let level = &mut self.levels[s];
+        let w = rank as usize / 64;
+        let word = level.start + w;
+        self.words[word] &= !(1 << (rank % 64));
+        if self.words[word] == 0 {
+            self.words[level.start + level.len + w / 64] &= !(1 << (w % 64));
+        }
+        level.live -= 1;
+    }
+
+    /// Removes and returns the rank with the highest score and, among
+    /// those, the lowest rank.
+    fn pop(&mut self) -> u32 {
+        while self.levels[self.top].live == 0 {
+            assert!(
+                self.top > 0,
+                "an unplaced vertex remains while positions remain"
+            );
             self.top -= 1;
         }
-        while score.get(self.cursor).is_some_and(|&s| s != 0) {
-            self.cursor += 1;
+        let level = &mut self.levels[self.top];
+        let summary = &self.words[level.start + level.len..][..level.len.div_ceil(64)];
+        let mut i = level.hint / 64;
+        while summary[i] == 0 {
+            i += 1;
         }
-        let zeros = &mut self.levels[0].heap;
-        while zeros
-            .peek()
-            .is_some_and(|&Reverse(r)| score[r as usize] != 0)
-        {
-            zeros.pop();
-        }
-        match zeros.peek() {
-            Some(&Reverse(rank)) if rank as usize <= self.cursor => {
-                zeros.pop();
-                rank
-            }
-            _ => {
-                assert!(
-                    self.cursor < score.len(),
-                    "an unplaced vertex remains while positions remain"
-                );
-                self.cursor as u32
-            }
-        }
+        let w = i * 64 + summary[i].trailing_zeros() as usize;
+        level.hint = w;
+        let rank = (w * 64) as u32 + self.words[level.start + w].trailing_zeros();
+        self.remove(self.top, rank);
+        rank
+    }
+}
+
+/// Sets the first `bits` bits of `words`, which must hold them.
+fn set_prefix(words: &mut [u64], bits: usize) {
+    words[..bits / 64].fill(u64::MAX);
+    let rest = bits % 64;
+    if rest != 0 {
+        words[bits / 64] = (1 << rest) - 1;
     }
 }
 
@@ -220,7 +289,9 @@ pub fn vanilla_triangular(m: &CsrMatrix, sweeps: usize) -> Vec<u32> {
     if n == 0 {
         return Vec::new();
     }
-    let adj = Adjacency::undirected(m);
+    // The barycenters' f64 sums follow row order, so rows are sorted.
+    let mut adj = Adjacency::new(m, &UndirectedEdges::of(m), &identity(m.nrows()));
+    adj.sort_rows();
     // position[v] = current coordinate of v (starts at identity).
     let mut position: Vec<f64> = (0..n).map(|v| v as f64).collect();
     for _ in 0..sweeps.max(1) {
@@ -267,65 +338,107 @@ pub fn mean_span(m: &CooMatrix) -> f64 {
         / m.nnz() as f64
 }
 
-/// Loop-free undirected adjacency (union of out- and in-edges) in CSR
-/// shape: `neighbors[ptr[v]..ptr[v + 1]]` are `v`'s distinct neighbors,
-/// ascending.
+/// The loop-free undirected graph of a square matrix: an edge `{r, c}`
+/// for every stored entry `(r, c)` with `r != c`, where a pair stored in
+/// both directions is one edge.
+struct UndirectedEdges {
+    /// `degree[v]` = number of `v`'s distinct neighbors.
+    degree: Vec<u32>,
+    /// Bit `i` marks the matrix's `i`-th stored entry (CSR order) as the
+    /// below-diagonal half of a pair stored both ways: its mirror above
+    /// the diagonal stands for the edge.
+    mirrored: Vec<u64>,
+}
+
+impl UndirectedEdges {
+    /// One pass over `m`. A CSR row's columns are distinct and ascending,
+    /// so an entry `(r, c)` below the diagonal finds its mirror by a
+    /// binary search of row `c`, and no neighbor list is ever sorted or
+    /// deduplicated.
+    fn of(m: &CsrMatrix) -> Self {
+        let n = m.nrows() as usize;
+        let (row_ptr, col_idx) = (m.row_ptr(), m.col_idx());
+        let mut degree = vec![0u32; n];
+        let mut mirrored = vec![0u64; col_idx.len().div_ceil(64)];
+        for r in 0..n {
+            let row = row_ptr[r]..row_ptr[r + 1];
+            for (i, &c) in row.clone().zip(&col_idx[row]) {
+                let c = c as usize;
+                if c == r {
+                    continue;
+                }
+                if c < r
+                    && col_idx[row_ptr[c]..row_ptr[c + 1]]
+                        .binary_search(&(r as u32))
+                        .is_ok()
+                {
+                    mirrored[i / 64] |= 1 << (i % 64);
+                    continue;
+                }
+                degree[r] += 1;
+                degree[c] += 1;
+            }
+        }
+        UndirectedEdges { degree, mirrored }
+    }
+}
+
+/// An [`UndirectedEdges`] graph in CSR shape under a relabeling `label`
+/// of its vertices: `neighbors[ptr[k]..ptr[k + 1]]` are the labels of the
+/// distinct neighbors of the vertex labeled `k`, in no particular order
+/// (ascending after [`Self::sort_rows`]).
 struct Adjacency {
     ptr: Vec<usize>,
     neighbors: Vec<u32>,
 }
 
 impl Adjacency {
-    /// Two-pass counting sort of both edge directions into rows, then a
-    /// per-row sort and in-place dedup.
-    fn undirected(m: &CsrMatrix) -> Self {
-        let n = m.nrows() as usize;
+    /// A counting sort of every edge, in both directions, into the rows
+    /// of its endpoints' labels; `label` must be a permutation.
+    fn new(m: &CsrMatrix, edges: &UndirectedEdges, label: &[u32]) -> Self {
+        let n = label.len();
         let mut ptr = vec![0usize; n + 1];
-        for (r, c, _) in m.iter() {
-            if r != c {
-                ptr[r as usize + 1] += 1;
-                ptr[c as usize + 1] += 1;
-            }
+        for (v, &d) in edges.degree.iter().enumerate() {
+            ptr[label[v] as usize + 1] = d as usize;
         }
-        for v in 0..n {
-            ptr[v + 1] += ptr[v];
+        for k in 0..n {
+            ptr[k + 1] += ptr[k];
         }
         let mut fill = ptr[..n].to_vec();
         let mut neighbors = vec![0u32; ptr[n]];
-        for (r, c, _) in m.iter() {
-            if r != c {
-                neighbors[fill[r as usize]] = c;
-                fill[r as usize] += 1;
-                neighbors[fill[c as usize]] = r;
-                fill[c as usize] += 1;
-            }
-        }
-        // Compact each sorted row over the gaps its duplicates leave.
-        let mut kept = 0;
-        let mut start = 0;
-        for v in 0..n {
-            let end = ptr[v + 1];
-            neighbors[start..end].sort_unstable();
-            ptr[v] = kept;
-            for i in start..end {
-                if i == start || neighbors[i] != neighbors[i - 1] {
-                    neighbors[kept] = neighbors[i];
-                    kept += 1;
+        let (row_ptr, col_idx) = (m.row_ptr(), m.col_idx());
+        for r in 0..n {
+            let a = label[r];
+            // Only this row's own entries append to row `a` while it is
+            // scanned (each mirror write goes to `label[c]`, `c != r`),
+            // so row `a`'s fill position can stay in `next`.
+            let mut next = fill[a as usize];
+            let row = row_ptr[r]..row_ptr[r + 1];
+            for (i, &c) in row.clone().zip(&col_idx[row]) {
+                let c = c as usize;
+                if c == r || edges.mirrored[i / 64] & (1 << (i % 64)) != 0 {
+                    continue;
                 }
+                let b = label[c];
+                neighbors[next] = b;
+                next += 1;
+                neighbors[fill[b as usize]] = a;
+                fill[b as usize] += 1;
             }
-            start = end;
+            fill[a as usize] = next;
         }
-        ptr[n] = kept;
-        neighbors.truncate(kept);
         Adjacency { ptr, neighbors }
     }
 
-    fn row(&self, v: u32) -> &[u32] {
-        &self.neighbors[self.ptr[v as usize]..self.ptr[v as usize + 1]]
+    /// Sorts every row ascending.
+    fn sort_rows(&mut self) {
+        for k in 0..self.ptr.len() - 1 {
+            self.neighbors[self.ptr[k]..self.ptr[k + 1]].sort_unstable();
+        }
     }
 
-    fn degree(&self, v: u32) -> usize {
-        self.ptr[v as usize + 1] - self.ptr[v as usize]
+    fn row(&self, k: u32) -> &[u32] {
+        &self.neighbors[self.ptr[k as usize]..self.ptr[k as usize + 1]]
     }
 }
 

@@ -1,7 +1,12 @@
-//! Differential suite: the bucketed-queue `graph_order`, the
+//! Differential suite: the bitset-queue `graph_order`, the
 //! counting-sort `vanilla_triangular` adjacency and the counting-sort
 //! `permute_symmetric` must be bitwise equal to the reference
 //! implementations in `sparsepipe_testutil::reorder_oracle`.
+//!
+//! The GraphOrder queue keeps one bitset of ranks per score level, with
+//! a summary word per 64 bitset words (4096 ranks), so the sizes below
+//! straddle one bitset word (63, 64, 65) and one summary word (4095,
+//! 4096, 4097) as well as staying small.
 
 use std::panic::catch_unwind;
 
@@ -83,6 +88,37 @@ fn clique(members: &[u32]) -> Vec<(u32, u32, f64)> {
     entries
 }
 
+/// Strategy: a square matrix of up to 10 000 rows with 2–4 raw entries
+/// per row, large enough to span several summary words of the queue.
+fn sparse_large() -> impl Strategy<Value = CooMatrix> {
+    (2..10_000u32, 2..=4usize).prop_flat_map(|(n, per_row)| {
+        let nnz = n as usize * per_row;
+        proptest::collection::vec((0..n, 0..n, -4.0..4.0f64), nnz..=nnz)
+            .prop_map(move |entries| matrix(n, entries))
+    })
+}
+
+/// A ring `0 → 1 → … → n−1 → 0`.
+fn ring(n: u32) -> CooMatrix {
+    matrix(n, (0..n).map(|i| (i, (i + 1) % n, f64::from(i))).collect())
+}
+
+/// A path `0 → 1 → … → n−1`.
+fn path(n: u32) -> CooMatrix {
+    matrix(n, (1..n).map(|i| (i - 1, i, f64::from(i))).collect())
+}
+
+/// A star whose hub is the last vertex, with edges in both directions.
+fn star(n: u32) -> CooMatrix {
+    let hub = n - 1;
+    matrix(
+        n,
+        (0..hub)
+            .flat_map(|v| [(hub, v, 1.0), (v, hub, f64::from(v))])
+            .collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(sparsepipe_testutil::config())]
 
@@ -90,6 +126,43 @@ proptest! {
     fn random_matrices_match_oracle(m in coo_matrix(80, 400)) {
         check(&m, &WINDOWS, "proptest");
     }
+
+    #[test]
+    fn large_sparse_matrices_match_oracle(m in sparse_large()) {
+        check(&m, &WINDOWS, "proptest-large");
+    }
+}
+
+#[test]
+fn rings_paths_and_stars_match_oracle_at_word_boundaries() {
+    for n in [63, 64, 65, 4095, 4096, 4097, 262_145] {
+        let windows = [1, 2, 64, n as usize + 1];
+        for (name, m) in [("ring", ring(n)), ("path", path(n)), ("star", star(n))] {
+            check(&m, &windows, &format!("{name}({n})"));
+        }
+    }
+}
+
+#[test]
+fn rank_entering_a_level_below_its_hint_matches_oracle() {
+    // A hub (top degree, so placed first) at the high end of a path,
+    // with two leaves. The walk runs down the path: every pop from
+    // score level 1 leaves that level's low-word hint at the popped
+    // rank's word, and the next vertex enters level 1 one rank lower,
+    // crossing below the hint at every word and, at ranks 8191 and
+    // 4095, at every summary word.
+    //
+    // This is the only way a rank lands below a level's hint: a level
+    // is popped only while every level above it is empty, and a rank
+    // reaches a level from below only through an insert that lowers the
+    // hint, so a rank whose score falls back (to 0 or any level) never
+    // lands below that level's hint.
+    let n = 9000;
+    let mut entries: Vec<(u32, u32, f64)> = (1..n - 3).map(|i| (i - 1, i, f64::from(i))).collect();
+    for leaf in [n - 4, n - 3, n - 2] {
+        entries.push((n - 1, leaf, -1.0));
+    }
+    check(&matrix(n, entries), &WINDOWS, "hub_path");
 }
 
 #[test]
