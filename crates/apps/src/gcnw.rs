@@ -48,7 +48,7 @@ pub fn app(iterations: usize) -> StaApp {
 }
 
 /// Deterministic pruned weight matrix: a circulant band of width
-/// [`WEIGHT_BAND`] with pseudo-random values in `[-0.5, 0.5)`.
+/// `WEIGHT_BAND` (4) with pseudo-random values in `[-0.5, 0.5)`.
 pub fn weight_matrix(n: u32) -> CooMatrix {
     let mut entries = Vec::new();
     for i in 0..n {

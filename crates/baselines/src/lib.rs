@@ -2,8 +2,9 @@
 //!
 //! The paper compares Sparsepipe against four reference points; this crate
 //! implements each as an analytic cost model driven by the *same*
-//! machine-independent [`WorkloadProfile`] the simulator uses, so every
-//! comparison is apples-to-apples on workload:
+//! machine-independent
+//! [`WorkloadProfile`](sparsepipe_frontend::WorkloadProfile) the
+//! simulator uses, so every comparison is apples-to-apples on workload:
 //!
 //! * [`ideal::IdealAccelerator`] — "an idealized sparse accelerator that
 //!   utilizes the same compute and memory bandwidth as Sparsepipe, but

@@ -1,5 +1,6 @@
 //! End-to-end mini-sweep benchmark: the fixed-seed Quick sweep evaluated
-//! point-by-point with and without the sweep-level [`MatrixCache`],
+//! point-by-point with and without the sweep-level [`MatrixCache`]
+//! ("uncached" points each derive their artifacts into a private cache),
 //! self-timed and recorded into `BENCH_core.json` under the `mini_sweep`
 //! key.
 //!

@@ -160,9 +160,9 @@ impl MatrixSource for SlabSource {
 }
 
 /// A closed, serializable, comparable description of a built-in source
-/// — what configuration surfaces (CLI flags, [`ServeConfig`]
-/// (crate::serve::ServeConfig)) hold, so they stay `Eq` while the
-/// loading path works through `dyn` [`MatrixSource`].
+/// — what configuration surfaces (CLI flags,
+/// [`ServeConfig`](crate::serve::ServeConfig)) hold, so they stay `Eq`
+/// while the loading path works through `dyn` [`MatrixSource`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub enum SourceConfig {
     /// Seeded synthetic stand-ins.

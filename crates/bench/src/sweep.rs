@@ -9,9 +9,10 @@ use sparsepipe_baselines::ideal::IdealAccelerator;
 use sparsepipe_baselines::oracle::OracleAccelerator;
 use sparsepipe_baselines::{BaselineReport, WorkloadInstance};
 use sparsepipe_core::{
-    Preprocessing, ReorderKind, SimReport, SimRequest, SimTelemetry, SparsepipeConfig,
+    MatrixCache, MatrixProfile, PassPlan, Preprocessing, ReorderKind, SimReport, SimRequest,
+    SimTelemetry, SparsepipeConfig,
 };
-use sparsepipe_tensor::MatrixId;
+use sparsepipe_tensor::{CooMatrix, MatrixId};
 use sparsepipe_trace::{
     jsonl, MemorySink, NullSink, OccupancyTimeline, ReuseHistogram, TraceAudit, TraceEvent,
     TraceSink,
@@ -93,7 +94,7 @@ pub struct Evaluation {
 
 /// Derives the baselines' SpGEMM surcharge
 /// ([`sparsepipe_baselines::MxmWork`]) from the exact O(nnz) SpGEMM
-/// statics of a [`sparsepipe_core::MatrixProfile`]:
+/// statics of a [`MatrixProfile`]:
 ///
 /// - `b_read_bytes`: every *touched* stationary row element (CSR triple,
 ///   12 B) is gathered once per `mxm` pass — `spgemm_touched_elements`
@@ -108,7 +109,7 @@ pub struct Evaluation {
 /// workloads evaluate exactly as before.
 pub fn mxm_work(
     profile: &sparsepipe_frontend::WorkloadProfile,
-    matrix: &sparsepipe_core::MatrixProfile,
+    matrix: &MatrixProfile,
 ) -> Option<sparsepipe_baselines::MxmWork> {
     if profile.mxm_passes == 0 {
         return None;
@@ -254,7 +255,7 @@ pub struct EvalRequest<'a> {
     app: &'a StaApp,
     dataset: &'a ScaledDataset,
     scale: u64,
-    cache: Option<&'a sparsepipe_core::MatrixCache>,
+    cache: Option<&'a MatrixCache>,
     sink: Option<MemorySink>,
     deadline: Option<std::time::Duration>,
     retry: crate::fault::RetryPolicy,
@@ -285,12 +286,13 @@ impl<'a> EvalRequest<'a> {
         }
     }
 
-    /// Shares derived per-matrix artifacts (pass plans, CSR/CSC arenas)
-    /// through `cache`, keyed by the dataset's matrix id. The entry
-    /// produced is unchanged — the cache only avoids re-deriving
+    /// Shares derived per-matrix artifacts (pass plans, CSR/CSC arenas,
+    /// profiles) through `cache`, keyed by the dataset's matrix id;
+    /// without one, each attempt derives them into a private cache. The
+    /// entry produced is unchanged — the cache only avoids re-deriving
     /// immutable artifacts when many apps sweep the same matrix.
     #[must_use]
-    pub fn cache(mut self, cache: &'a sparsepipe_core::MatrixCache) -> Self {
+    pub fn cache(mut self, cache: &'a MatrixCache) -> Self {
         self.cache = Some(cache);
         self
     }
@@ -360,13 +362,18 @@ impl<'a> EvalRequest<'a> {
     }
 
     fn attempt_once(&mut self) -> Result<Evaluation, BenchError> {
-        let cache_kv = self.cache.map(|cache| {
-            let key = sparsepipe_core::MatrixCache::key_for(
-                self.dataset.id.code(),
-                &self.dataset.reordered,
-            );
-            (cache, key)
-        });
+        let private;
+        let cache = match self.cache {
+            Some(shared) => shared,
+            None => {
+                private = MatrixCache::new();
+                &private
+            }
+        };
+        let cache = (
+            cache,
+            MatrixCache::key_for(self.dataset.id.code(), &self.dataset.reordered),
+        );
         match &mut self.sink {
             Some(sink) => {
                 sink.clear();
@@ -375,7 +382,7 @@ impl<'a> EvalRequest<'a> {
                     self.dataset,
                     self.scale,
                     sink,
-                    cache_kv,
+                    cache,
                     self.deadline,
                 )?;
                 TraceAudit::replay(sink.events())
@@ -392,7 +399,7 @@ impl<'a> EvalRequest<'a> {
                 self.dataset,
                 self.scale,
                 &mut NullSink,
-                cache_kv,
+                cache,
                 self.deadline,
             ),
         }
@@ -404,7 +411,7 @@ fn evaluate_with_sink<S: TraceSink>(
     dataset: &ScaledDataset,
     scale: u64,
     sink: &mut S,
-    cache: Option<(&sparsepipe_core::MatrixCache, u64)>,
+    (cache, key): (&MatrixCache, u64),
     deadline: Option<std::time::Duration>,
 ) -> Result<Evaluation, BenchError> {
     let program = app.compile().map_err(|e| BenchError::Compile {
@@ -422,10 +429,8 @@ fn evaluate_with_sink<S: TraceSink>(
     let started = std::time::Instant::now();
     let mut request = SimRequest::new(&program, &dataset.reordered)
         .iterations(iterations)
-        .config(cfg);
-    if let Some((cache, key)) = cache {
-        request = request.cache(cache, key);
-    }
+        .config(cfg)
+        .cache(cache, key);
     if let Some(budget) = deadline {
         request = request.deadline(budget);
     }
@@ -436,10 +441,8 @@ fn evaluate_with_sink<S: TraceSink>(
     };
     let mut request_cpu = SimRequest::new(&program, &dataset.reordered)
         .iterations(iterations)
-        .config(cfg_cpu);
-    if let Some((cache, key)) = cache {
-        request_cpu = request_cpu.cache(cache, key);
-    }
+        .config(cfg_cpu)
+        .cache(cache, key);
     if let Some(budget) = deadline {
         // The iso-CPU run gets whatever wall-clock remains of the point's
         // budget; a spent budget fails at the run's first deadline check.
@@ -448,22 +451,9 @@ fn evaluate_with_sink<S: TraceSink>(
     let iso_cpu = request_cpu.run().map_err(sim_err)?;
 
     // SpGEMM surcharge for the analytical baselines, derived from the
-    // same exact statics the pruner and analyzer use. The profile comes
-    // from (or lands in) the sweep's matrix cache when one is wired.
+    // same exact statics the pruner and analyzer use.
     let work = if program.profile.mxm_passes > 0 {
-        let matrix = &dataset.reordered;
-        let t = cfg.subtensor_auto(matrix.ncols(), matrix.nnz());
-        let profile = match cache {
-            Some((cache, key)) => cache.profile(key, cfg.preprocessing.reorder, t, || {
-                let plan = cache.plan(key, cfg.preprocessing.reorder, t, || {
-                    sparsepipe_core::PassPlan::build(matrix, t)
-                });
-                sparsepipe_core::MatrixProfile::build(&plan)
-            }),
-            None => Arc::new(sparsepipe_core::MatrixProfile::build(
-                &sparsepipe_core::PassPlan::build(matrix, t),
-            )),
-        };
+        let profile = cached_profile(cache, key, &cfg, &dataset.reordered);
         mxm_work(&program.profile, &profile)
     } else {
         None
@@ -506,6 +496,22 @@ fn evaluate_with_sink<S: TraceSink>(
         },
         diagnostics: outcome.diagnostics,
         mxm: outcome.mxm,
+    })
+}
+
+/// The [`MatrixProfile`] of `matrix` (cached under `key`) at `cfg`'s
+/// sub-tensor width, built from the likewise cached [`PassPlan`] on a
+/// miss.
+fn cached_profile(
+    cache: &MatrixCache,
+    key: u64,
+    cfg: &SparsepipeConfig,
+    matrix: &CooMatrix,
+) -> Arc<MatrixProfile> {
+    let t = cfg.subtensor_auto(matrix.ncols(), matrix.nnz());
+    let kind = cfg.preprocessing.reorder;
+    cache.profile(key, kind, t, || {
+        MatrixProfile::build(&cache.plan(key, kind, t, || PassPlan::build(matrix, t)))
     })
 }
 
@@ -621,14 +627,8 @@ impl Sweep {
                     };
                     let cfg = sparsepipe_config(dataset);
                     let matrix = &dataset.reordered;
-                    let key = sparsepipe_core::MatrixCache::key_for(dataset.id.code(), matrix);
-                    let t = cfg.subtensor_auto(matrix.ncols(), matrix.nnz());
-                    let profile = cache.profile(key, cfg.preprocessing.reorder, t, || {
-                        let plan = cache.plan(key, cfg.preprocessing.reorder, t, || {
-                            sparsepipe_core::PassPlan::build(matrix, t)
-                        });
-                        sparsepipe_core::MatrixProfile::build(&plan)
-                    });
+                    let key = MatrixCache::key_for(dataset.id.code(), matrix);
+                    let profile = cached_profile(&cache, key, &cfg, matrix);
                     let report = sparsepipe_lint::analysis_cost::analyze(
                         &program,
                         &profile,

@@ -1,19 +1,32 @@
 //! Sweep-level cache of per-matrix derived artifacts, with optional
 //! LRU eviction under a byte budget.
 //!
-//! Every sweep point re-derives the same expensive, *pure* functions of
-//! its dataset matrix: the reordered matrix (GraphOrder / Vanilla
+//! Every simulation derives the same expensive, *pure* functions of its
+//! input matrix: the reordered matrix (GraphOrder / Vanilla
 //! preprocessing), the [`PassPlan`] at the configuration's sub-tensor
-//! width, and the [`MatrixArena`] slice tables. A [`MatrixCache`] shared
-//! (via `Arc`) across the sweep executor's workers computes each of them
-//! once per `(matrix, parameter)` key and hands out `Arc` clones —
-//! results are bit-identical to the uncached path because every cached
-//! function is deterministic in its key.
+//! width, the [`MatrixArena`] slice tables, and the [`MatrixProfile`]
+//! statics. The engine takes all of them from a [`MatrixCache`]: a
+//! shared one (via `Arc`, across the sweep executor's workers or the
+//! serve daemon's) computes each artifact once per `(matrix, parameter)`
+//! key and hands out `Arc` clones, and a run with none attached gets a
+//! private cache for its own length. Results are bit-identical either
+//! way because every cached function is deterministic in its key.
 //!
 //! Keys are caller-derived ([`MatrixCache::key_for`]) rather than deep
 //! matrix hashes: the sweep labels each dataset once and folds the
 //! matrix's shape and population into the key, so distinct matrices
 //! cannot collide in practice while lookups stay O(1).
+//!
+//! # One table
+//!
+//! The four artifact families share one map from an `ArtifactKey` —
+//! the family, the matrix key, the reordering and (for plans and
+//! profiles) the sub-tensor width — to a type-erased slot, and one
+//! `get_or_build` holds the whole lookup sequence: hit, miss, build
+//! outside the lock, racing-insert check, insert, eviction. The typed
+//! lookups ([`MatrixCache::reordered`], [`MatrixCache::plan`],
+//! [`MatrixCache::arena`], [`MatrixCache::profile`]) only name their key
+//! and heap-size estimate.
 //!
 //! # Bounding and eviction
 //!
@@ -24,17 +37,16 @@
 //! so a single artifact larger than the budget still caches (and is
 //! evicted by the next insert): resident bytes never exceed
 //! `max(budget, largest single artifact)`. The default
-//! [`MatrixCache::new`] cache is unbounded and never evicts, preserving
-//! the historical behaviour.
+//! [`MatrixCache::new`] cache is unbounded and never evicts.
 //!
-//! All bookkeeping — the four artifact maps, the LRU index, hit/miss/
+//! All bookkeeping — the artifact table, the LRU index, hit/miss/
 //! eviction counters, and per-family byte totals — lives behind one
 //! mutex, so counters cannot drift from residency under concurrent
-//! insert+evict (the races that separate atomics permitted). Artifact
-//! *builds* still run outside the lock: concurrent first requests may
-//! build redundantly and the first insert wins, which is safe because
-//! every cached function is pure.
+//! insert+evict. Artifact *builds* still run outside the lock:
+//! concurrent first requests may build redundantly and the first insert
+//! wins, which is safe because every cached function is pure.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -45,44 +57,37 @@ use crate::config::ReorderKind;
 use crate::plan::PassPlan;
 use crate::profile::MatrixProfile;
 
-fn reorder_tag(kind: ReorderKind) -> u8 {
-    match kind {
-        ReorderKind::None => 0,
-        ReorderKind::GraphOrder => 1,
-        ReorderKind::Vanilla => 2,
-    }
+/// Names one cached artifact: its family, the matrix key, the reordering
+/// it was derived under, and (plans and profiles) the sub-tensor width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ArtifactKey {
+    Reordered(u64, ReorderKind),
+    Plan(u64, ReorderKind, usize),
+    Arena(u64, ReorderKind),
+    Profile(u64, ReorderKind, usize),
 }
+
+/// A type-erased artifact; its [`ArtifactKey`] variant fixes the type.
+type Artifact = Arc<dyn Any + Send + Sync>;
 
 /// One resident cache entry: the artifact, its accounted heap size, and
 /// the logical-clock stamp of its most recent use (the LRU key).
 #[derive(Debug)]
-struct Slot<T> {
-    value: Arc<T>,
+struct Slot {
+    value: Artifact,
     bytes: u64,
     stamp: u64,
-}
-
-/// Which artifact family a resident LRU index entry points into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotKey {
-    Reordered((u64, u8)),
-    Plan((u64, u8, usize)),
-    Arena(u64),
-    Profile((u64, u8, usize)),
 }
 
 /// Everything the cache tracks, behind a single lock so residency and
 /// counters stay mutually coherent.
 #[derive(Debug, Default)]
 struct CacheState {
-    reordered: HashMap<(u64, u8), Slot<CooMatrix>>,
-    plans: HashMap<(u64, u8, usize), Slot<PassPlan>>,
-    arenas: HashMap<u64, Slot<MatrixArena>>,
-    profiles: HashMap<(u64, u8, usize), Slot<MatrixProfile>>,
+    slots: HashMap<ArtifactKey, Slot>,
     /// Least-recently-used index: use-stamp → resident entry. Stamps are
     /// unique (the logical clock only ticks under the lock), so the
     /// smallest key is *the* least recently used entry.
-    lru: BTreeMap<u64, SlotKey>,
+    lru: BTreeMap<u64, ArtifactKey>,
     bytes: CacheBytes,
     hits: u64,
     misses: u64,
@@ -91,49 +96,15 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// Re-stamps a just-used entry to the front of the LRU order and
-    /// returns the fresh stamp (the caller writes it into the slot).
-    fn retouch(&mut self, old_stamp: u64, key: SlotKey) -> u64 {
-        self.lru.remove(&old_stamp);
+    /// The resident artifact `key`, re-stamped to the front of the LRU
+    /// order; `None` when it is not resident.
+    fn touch(&mut self, key: ArtifactKey) -> Option<Artifact> {
+        let slot = self.slots.get_mut(&key)?;
+        self.lru.remove(&slot.stamp);
         self.tick += 1;
+        slot.stamp = self.tick;
         self.lru.insert(self.tick, key);
-        self.tick
-    }
-
-    /// Allocates a fresh use-stamp for a new entry and indexes it.
-    fn stamp_new(&mut self, key: SlotKey) -> u64 {
-        self.tick += 1;
-        self.lru.insert(self.tick, key);
-        self.tick
-    }
-
-    /// Drops the resident entry `key`, reclaiming its accounted bytes.
-    fn remove_slot(&mut self, key: SlotKey) {
-        let (stamp, bytes) = match key {
-            SlotKey::Reordered(k) => {
-                let s = self.reordered.remove(&k).expect("lru index is resident");
-                self.bytes.reordered -= s.bytes;
-                (s.stamp, s.bytes)
-            }
-            SlotKey::Plan(k) => {
-                let s = self.plans.remove(&k).expect("lru index is resident");
-                self.bytes.plans -= s.bytes;
-                (s.stamp, s.bytes)
-            }
-            SlotKey::Arena(k) => {
-                let s = self.arenas.remove(&k).expect("lru index is resident");
-                self.bytes.arenas -= s.bytes;
-                (s.stamp, s.bytes)
-            }
-            SlotKey::Profile(k) => {
-                let s = self.profiles.remove(&k).expect("lru index is resident");
-                self.bytes.profiles -= s.bytes;
-                (s.stamp, s.bytes)
-            }
-        };
-        let _ = bytes;
-        self.lru.remove(&stamp);
-        self.evictions += 1;
+        Some(Arc::clone(&slot.value))
     }
 
     /// Evicts least-recently-used entries until the resident total fits
@@ -146,7 +117,10 @@ impl CacheState {
                 .find(|(&stamp, _)| stamp != protect)
                 .map(|(_, &key)| key);
             let Some(key) = victim else { break };
-            self.remove_slot(key);
+            let slot = self.slots.remove(&key).expect("lru index is resident");
+            self.lru.remove(&slot.stamp);
+            *self.bytes.family(key) -= slot.bytes;
+            self.evictions += 1;
         }
     }
 }
@@ -181,6 +155,16 @@ impl CacheBytes {
     pub fn total(&self) -> u64 {
         self.reordered + self.plans + self.arenas + self.profiles
     }
+
+    /// The total `key`'s family is accounted under.
+    fn family(&mut self, key: ArtifactKey) -> &mut u64 {
+        match key {
+            ArtifactKey::Reordered(..) => &mut self.reordered,
+            ArtifactKey::Plan(..) => &mut self.plans,
+            ArtifactKey::Arena(..) => &mut self.arenas,
+            ArtifactKey::Profile(..) => &mut self.profiles,
+        }
+    }
 }
 
 fn coo_heap_bytes(m: &CooMatrix) -> u64 {
@@ -199,6 +183,13 @@ fn arena_heap_bytes(a: &MatrixArena) -> u64 {
     // (u32) and values (f64)
     (2 * ((a.n() as usize + 1) * std::mem::size_of::<u32>()
         + a.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))) as u64
+}
+
+/// Recovers an artifact's concrete type.
+fn typed<T: Send + Sync + 'static>(value: Artifact) -> Arc<T> {
+    value
+        .downcast()
+        .expect("an artifact key names one artifact type")
 }
 
 impl MatrixCache {
@@ -255,6 +246,48 @@ impl MatrixCache {
         h
     }
 
+    /// The artifact `key`: a hit re-stamps it as most recently used; a
+    /// miss runs `build` outside the lock, inserts the result (unless a
+    /// racing build inserted first — results are identical by purity)
+    /// accounted at `heap_bytes` of it, and evicts over the budget.
+    fn get_or_build<T: Send + Sync + 'static>(
+        &self,
+        key: ArtifactKey,
+        build: impl FnOnce() -> T,
+        heap_bytes: fn(&T) -> u64,
+    ) -> Arc<T> {
+        {
+            let mut s = self.lock();
+            if let Some(value) = s.touch(key) {
+                s.hits += 1;
+                return typed(value);
+            }
+            s.misses += 1;
+        }
+        let built = Arc::new(build());
+        let mut s = self.lock();
+        if let Some(value) = s.touch(key) {
+            return typed(value);
+        }
+        let bytes = heap_bytes(&built);
+        s.tick += 1;
+        let stamp = s.tick;
+        s.lru.insert(stamp, key);
+        s.slots.insert(
+            key,
+            Slot {
+                value: built.clone(),
+                bytes,
+                stamp,
+            },
+        );
+        *s.bytes.family(key) += bytes;
+        if let Some(budget) = self.budget {
+            s.evict_over_budget(budget, stamp);
+        }
+        built
+    }
+
     /// The matrix `key` reordered under `kind`, building it with `build`
     /// on first request. `build` must be a pure function of the key —
     /// it runs outside the cache lock, so concurrent first requests may
@@ -264,42 +297,7 @@ impl MatrixCache {
     where
         F: FnOnce() -> CooMatrix,
     {
-        let k = (key, reorder_tag(kind));
-        {
-            let mut s = self.lock();
-            if let Some(slot) = s.reordered.get(&k) {
-                let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-                s.hits += 1;
-                let fresh = s.retouch(old, SlotKey::Reordered(k));
-                s.reordered.get_mut(&k).expect("just seen").stamp = fresh;
-                return value;
-            }
-            s.misses += 1;
-        }
-        let built = Arc::new(build());
-        let mut s = self.lock();
-        if let Some(slot) = s.reordered.get(&k) {
-            // A racing build won the insert; results are identical.
-            let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-            let fresh = s.retouch(old, SlotKey::Reordered(k));
-            s.reordered.get_mut(&k).expect("just seen").stamp = fresh;
-            return value;
-        }
-        let cost = coo_heap_bytes(&built);
-        let stamp = s.stamp_new(SlotKey::Reordered(k));
-        s.reordered.insert(
-            k,
-            Slot {
-                value: Arc::clone(&built),
-                bytes: cost,
-                stamp,
-            },
-        );
-        s.bytes.reordered += cost;
-        if let Some(budget) = self.budget {
-            s.evict_over_budget(budget, stamp);
-        }
-        built
+        self.get_or_build(ArtifactKey::Reordered(key, kind), build, coo_heap_bytes)
     }
 
     /// The [`PassPlan`] of matrix `key` (under reordering `kind`) at
@@ -309,41 +307,7 @@ impl MatrixCache {
     where
         F: FnOnce() -> PassPlan,
     {
-        let k = (key, reorder_tag(kind), t_cols);
-        {
-            let mut s = self.lock();
-            if let Some(slot) = s.plans.get(&k) {
-                let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-                s.hits += 1;
-                let fresh = s.retouch(old, SlotKey::Plan(k));
-                s.plans.get_mut(&k).expect("just seen").stamp = fresh;
-                return value;
-            }
-            s.misses += 1;
-        }
-        let built = Arc::new(build());
-        let mut s = self.lock();
-        if let Some(slot) = s.plans.get(&k) {
-            let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-            let fresh = s.retouch(old, SlotKey::Plan(k));
-            s.plans.get_mut(&k).expect("just seen").stamp = fresh;
-            return value;
-        }
-        let cost = plan_heap_bytes(&built);
-        let stamp = s.stamp_new(SlotKey::Plan(k));
-        s.plans.insert(
-            k,
-            Slot {
-                value: Arc::clone(&built),
-                bytes: cost,
-                stamp,
-            },
-        );
-        s.bytes.plans += cost;
-        if let Some(budget) = self.budget {
-            s.evict_over_budget(budget, stamp);
-        }
-        built
+        self.get_or_build(ArtifactKey::Plan(key, kind, t_cols), build, plan_heap_bytes)
     }
 
     /// The [`MatrixProfile`] of matrix `key` (under reordering `kind`) at
@@ -359,83 +323,33 @@ impl MatrixCache {
     where
         F: FnOnce() -> MatrixProfile,
     {
-        let k = (key, reorder_tag(kind), t_cols);
-        {
-            let mut s = self.lock();
-            if let Some(slot) = s.profiles.get(&k) {
-                let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-                s.hits += 1;
-                let fresh = s.retouch(old, SlotKey::Profile(k));
-                s.profiles.get_mut(&k).expect("just seen").stamp = fresh;
-                return value;
-            }
-            s.misses += 1;
-        }
-        let built = Arc::new(build());
-        let mut s = self.lock();
-        if let Some(slot) = s.profiles.get(&k) {
-            let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-            let fresh = s.retouch(old, SlotKey::Profile(k));
-            s.profiles.get_mut(&k).expect("just seen").stamp = fresh;
-            return value;
-        }
-        let cost = built.heap_bytes();
-        let stamp = s.stamp_new(SlotKey::Profile(k));
-        s.profiles.insert(
-            k,
-            Slot {
-                value: Arc::clone(&built),
-                bytes: cost,
-                stamp,
-            },
-        );
-        s.bytes.profiles += cost;
-        if let Some(budget) = self.budget {
-            s.evict_over_budget(budget, stamp);
-        }
-        built
+        self.get_or_build(
+            ArtifactKey::Profile(key, kind, t_cols),
+            build,
+            MatrixProfile::heap_bytes,
+        )
     }
 
-    /// The [`MatrixArena`] of matrix `key`, building on first request.
-    /// Same purity contract as [`MatrixCache::reordered`].
+    /// The [`MatrixArena`] of the unreordered matrix `key`, building on
+    /// first request. Same purity contract as [`MatrixCache::reordered`].
     pub fn arena<F>(&self, key: u64, build: F) -> Arc<MatrixArena>
     where
         F: FnOnce() -> MatrixArena,
     {
-        {
-            let mut s = self.lock();
-            if let Some(slot) = s.arenas.get(&key) {
-                let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-                s.hits += 1;
-                let fresh = s.retouch(old, SlotKey::Arena(key));
-                s.arenas.get_mut(&key).expect("just seen").stamp = fresh;
-                return value;
-            }
-            s.misses += 1;
-        }
-        let built = Arc::new(build());
-        let mut s = self.lock();
-        if let Some(slot) = s.arenas.get(&key) {
-            let (value, old) = (Arc::clone(&slot.value), slot.stamp);
-            let fresh = s.retouch(old, SlotKey::Arena(key));
-            s.arenas.get_mut(&key).expect("just seen").stamp = fresh;
-            return value;
-        }
-        let cost = arena_heap_bytes(&built);
-        let stamp = s.stamp_new(SlotKey::Arena(key));
-        s.arenas.insert(
-            key,
-            Slot {
-                value: Arc::clone(&built),
-                bytes: cost,
-                stamp,
-            },
-        );
-        s.bytes.arenas += cost;
-        if let Some(budget) = self.budget {
-            s.evict_over_budget(budget, stamp);
-        }
-        built
+        self.reordered_arena(key, ReorderKind::None, build)
+    }
+
+    /// The [`MatrixArena`] of matrix `key` reordered under `kind`.
+    pub(crate) fn reordered_arena<F>(
+        &self,
+        key: u64,
+        kind: ReorderKind,
+        build: F,
+    ) -> Arc<MatrixArena>
+    where
+        F: FnOnce() -> MatrixArena,
+    {
+        self.get_or_build(ArtifactKey::Arena(key, kind), build, arena_heap_bytes)
     }
 
     /// Lookups answered from the cache so far.
@@ -474,26 +388,15 @@ impl MatrixCache {
     pub fn audit_accounting(&self) {
         let s = self.lock();
         let mut recomputed = CacheBytes::default();
-        let mut stamps: Vec<u64> = Vec::with_capacity(s.lru.len());
         // determinism: allow (order-insensitive accounting audit)
-        for slot in s.reordered.values() {
-            recomputed.reordered += slot.bytes;
-            stamps.push(slot.stamp);
-        }
-        // determinism: allow (order-insensitive accounting audit)
-        for slot in s.plans.values() {
-            recomputed.plans += slot.bytes;
-            stamps.push(slot.stamp);
-        }
-        // determinism: allow (order-insensitive accounting audit)
-        for slot in s.arenas.values() {
-            recomputed.arenas += slot.bytes;
-            stamps.push(slot.stamp);
-        }
-        // determinism: allow (order-insensitive accounting audit)
-        for slot in s.profiles.values() {
-            recomputed.profiles += slot.bytes;
-            stamps.push(slot.stamp);
+        for (&key, slot) in &s.slots {
+            *recomputed.family(key) += slot.bytes;
+            assert_eq!(
+                s.lru.get(&slot.stamp),
+                Some(&key),
+                "resident slot stamp {} missing from LRU index",
+                slot.stamp
+            );
         }
         assert_eq!(
             recomputed, s.bytes,
@@ -501,15 +404,9 @@ impl MatrixCache {
         );
         assert_eq!(
             s.lru.len(),
-            stamps.len(),
+            s.slots.len(),
             "LRU index length does not match resident entries"
         );
-        for stamp in stamps {
-            assert!(
-                s.lru.contains_key(&stamp),
-                "resident slot stamp {stamp} missing from LRU index"
-            );
-        }
     }
 }
 

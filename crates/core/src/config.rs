@@ -43,7 +43,7 @@ impl MemoryConfig {
 }
 
 /// Row-reordering preprocessing variant (§IV-E1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ReorderKind {
     /// No reordering.
     None,
@@ -128,11 +128,6 @@ pub struct SparsepipeConfig {
     /// Fraction of a row's elements that must be consumed before the
     /// repacking pass reclaims its space (§IV-D3).
     pub repack_threshold: f64,
-    /// Time each pipeline step's DRAM traffic through the bank-level
-    /// GDDR6X controller model ([`crate::memctrl`]) instead of the
-    /// analytic `bytes / peak-bandwidth` charge. Slower to simulate;
-    /// captures row-miss penalties on refetch/gather traffic.
-    pub detailed_memory: bool,
     /// Run the [`crate::invariants`] shadow checker every pipeline step,
     /// even in release builds: per-event buffer preconditions plus a
     /// whole-buffer residency/accounting audit at each step end. Costs
@@ -154,7 +149,6 @@ impl SparsepipeConfig {
             eviction: EvictionPolicy::HighestRowFirst,
             preprocessing: Preprocessing::full(),
             repack_threshold: 0.5,
-            detailed_memory: false,
             validate: false,
         }
     }
@@ -225,15 +219,6 @@ impl SparsepipeConfig {
         } else {
             12.0
         }
-    }
-
-    /// The memory-controller geometry matching this configuration's peak
-    /// bandwidth (used when [`SparsepipeConfig::detailed_memory`] is on).
-    pub fn memctrl_config(&self) -> crate::memctrl::MemControllerConfig {
-        let mut c = crate::memctrl::MemControllerConfig::default();
-        c.bus_bytes_per_cycle = self.memory.bytes_per_cycle(self.clock_ghz) / c.channels as f64;
-        c.row_miss_cycles = self.memory.read_latency_ns * self.clock_ghz * 2.0;
-        c
     }
 
     /// Bytes fetched from DRAM per matrix element: a single copy of

@@ -86,7 +86,8 @@ pub struct SimOutcome {
 /// Builder for one simulation run.
 ///
 /// Defaults: 1 iteration, [`SparsepipeConfig::iso_gpu`], validation off,
-/// tracing off ([`NullSink`] — zero overhead, see `DESIGN.md` §10).
+/// tracing off ([`NullSink`] — zero overhead, see `DESIGN.md` §10), no
+/// shared cache (the run derives its artifacts into a private one).
 /// All setters move `self`, so requests chain fluently; the request
 /// borrows its program and matrix immutably and is `Send + Sync`
 /// whenever its inputs and sink are.
@@ -133,15 +134,6 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
         self
     }
 
-    /// Toggles the per-step buffer-invariant shadow checker
-    /// ([`crate::invariants`]) for this run, overriding the configured
-    /// value.
-    #[must_use]
-    pub fn validate(mut self, on: bool) -> Self {
-        self.config.validate = on;
-        self
-    }
-
     /// The configuration this request will run with.
     pub fn config_ref(&self) -> &SparsepipeConfig {
         &self.config
@@ -153,11 +145,12 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
     }
 
     /// Attaches a shared [`MatrixCache`](crate::MatrixCache): the engine
-    /// reuses the reordered matrix and pass plan cached under `key`
-    /// (derive it with
+    /// reuses the reordered matrix, arena and pass plan cached under
+    /// `key` (derive it with
     /// [`MatrixCache::key_for`](crate::MatrixCache::key_for) for this
-    /// request's matrix) instead of re-deriving them. Results are
-    /// identical with or without the cache — the cached artifacts are
+    /// request's matrix) instead of re-deriving them. Without one, the
+    /// run derives them into a private cache that lives as long as the
+    /// run. Results are identical either way — the cached artifacts are
     /// pure functions of the key.
     #[must_use]
     pub fn cache(mut self, cache: &'a crate::MatrixCache, key: u64) -> Self {
@@ -213,13 +206,22 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
             at: start + budget,
             budget_ms: budget.as_millis() as u64,
         });
+        let private;
+        let cache = match self.cache {
+            Some(shared) => shared,
+            None => {
+                // Holds only this run's matrix, so any key will do.
+                private = crate::MatrixCache::new();
+                (&private, 0)
+            }
+        };
         let run = engine::simulate_inner(
             self.program,
             self.matrix,
             self.iterations,
             &self.config,
             &mut self.sink,
-            self.cache,
+            cache,
             deadline.as_ref(),
         )?;
         let wall_s = start.elapsed().as_secs_f64();
@@ -272,11 +274,10 @@ mod tests {
         let cfg = SparsepipeConfig::iso_cpu().with_buffer(1 << 16);
         let req = SimRequest::new(&program, &m)
             .iterations(7)
-            .config(cfg)
-            .validate(true);
+            .config(cfg.with_validation(true));
         assert_eq!(req.iteration_count(), 7);
         assert_eq!(req.config_ref().buffer_bytes, 1 << 16);
-        assert!(req.config_ref().validate, "validate overrides the config");
+        assert!(req.config_ref().validate);
     }
 
     #[test]

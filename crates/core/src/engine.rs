@@ -75,17 +75,18 @@ pub(crate) struct EngineRun {
 /// * **no OEI** (CG-class): every iteration re-streams the matrix; only
 ///   producer-consumer (e-wise fusion) reuse applies.
 ///
-/// `cache` (a [`MatrixCache`](crate::MatrixCache) plus this matrix's
-/// key) lets repeated runs over the same matrix share the reordered
-/// matrix and pass plan; the cached artifacts are pure functions of the
-/// key, so results are identical with or without it.
+/// Every derived artifact — the reordered matrix, the arena, the pass
+/// plan — comes from `cache` (a [`MatrixCache`](crate::MatrixCache) plus
+/// this matrix's key), so repeated runs over one matrix share them; the
+/// cached artifacts are pure functions of the key, so results are the
+/// same on a shared cache and on a fresh one.
 pub(crate) fn simulate_inner<S: TraceSink>(
     program: &SparsepipeProgram,
     matrix: &CooMatrix,
     iterations: usize,
     config: &SparsepipeConfig,
     sink: &mut S,
-    cache: Option<(&crate::MatrixCache, u64)>,
+    (cache, key): (&crate::MatrixCache, u64),
     deadline: Option<&Deadline>,
 ) -> Result<EngineRun, CoreError> {
     if matrix.nrows() != matrix.ncols() {
@@ -106,35 +107,24 @@ pub(crate) fn simulate_inner<S: TraceSink>(
 
     // ---- Offline preprocessing (§IV-E; not part of the timed run) ----
     let reorder_kind = config.preprocessing.reorder;
-    let reordered_local;
-    let reordered_shared;
+    let reordered;
     let matrix = if reorder_kind == ReorderKind::None {
         matrix
     } else {
-        // Reordering is a pure function of (matrix, kind): cacheable.
-        let build = || {
-            let perm = match reorder_kind {
-                ReorderKind::GraphOrder => reorder::graph_order(&matrix.to_csr(), 64),
-                _ => reorder::vanilla_triangular(&matrix.to_csr(), 3),
-            };
-            matrix.permute_symmetric(&perm)
-        };
         diagnostics.push(match reorder_kind {
             ReorderKind::GraphOrder => {
                 "offline preprocessing: GraphOrder reordering applied".into()
             }
             _ => "offline preprocessing: vanilla triangular reordering applied".into(),
         });
-        match cache {
-            Some((cache, key)) => {
-                reordered_shared = cache.reordered(key, reorder_kind, build);
-                &*reordered_shared
-            }
-            None => {
-                reordered_local = build();
-                &reordered_local
-            }
-        }
+        reordered = cache.reordered(key, reorder_kind, || {
+            let perm = match reorder_kind {
+                ReorderKind::GraphOrder => reorder::graph_order(&matrix.to_csr(), 64),
+                _ => reorder::vanilla_triangular(&matrix.to_csr(), 3),
+            };
+            matrix.permute_symmetric(&perm)
+        });
+        &*reordered
     };
     check_deadline(deadline)?;
 
@@ -174,21 +164,8 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             ));
             (iterations, 0, 1.0)
         };
-        // The arena is a pure function of the (reordered) matrix; the
-        // cache key does not encode the reordering, so only the
-        // unreordered arena is shared.
-        let arena_local;
-        let arena_shared;
-        let arena: &crate::MatrixArena = match cache {
-            Some((cache, key)) if reorder_kind == ReorderKind::None => {
-                arena_shared = cache.arena(key, || crate::MatrixArena::from_coo(matrix));
-                &arena_shared
-            }
-            _ => {
-                arena_local = crate::MatrixArena::from_coo(matrix);
-                &arena_local
-            }
-        };
+        let arena =
+            &*cache.reordered_arena(key, reorder_kind, || crate::MatrixArena::from_coo(matrix));
         check_deadline(deadline)?;
         let t_rows = config.subtensor_auto(matrix.ncols(), matrix.nnz());
         let riders = profile.ewise_matrix_passes as f64;
@@ -283,19 +260,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
 
         if full_passes > 0 {
             let t = config.subtensor_auto(matrix.ncols(), matrix.nnz());
-            // The plan depends only on (matrix, reordering, t): cacheable.
-            let plan_local;
-            let plan_shared;
-            let plan: &PassPlan = match cache {
-                Some((cache, key)) => {
-                    plan_shared = cache.plan(key, reorder_kind, t, || PassPlan::build(matrix, t));
-                    &plan_shared
-                }
-                None => {
-                    plan_local = PassPlan::build(matrix, t);
-                    &plan_local
-                }
-            };
+            let plan = &*cache.plan(key, reorder_kind, t, || PassPlan::build(matrix, t));
             check_deadline(deadline)?;
             let params = PassParams {
                 feature,

@@ -7,16 +7,13 @@
 //! within an open 2 KB page at full burst rate) and **row misses**
 //! (precharge + activate before the burst).
 //!
-//! Two uses:
-//!
-//! * [`MemController::service`] times an access batch — the optional
-//!   "detailed memory" mode of the pipeline feeds each step's synthesized
-//!   requests through it.
-//! * [`effective_utilization`] measures the sustainable fraction of peak
-//!   bandwidth for a given access pattern — this is where the
-//!   gather-utilization constants assumed by the CPU/GPU baseline models
-//!   (≈0.5 for scattered sparse access, ≈0.8 for streams) come from; the
-//!   `memory_model` example derives them.
+//! [`MemController::service`] times an access batch, and
+//! [`effective_utilization`] turns that into the sustainable fraction of
+//! peak bandwidth for a given access pattern — this is where the
+//! gather-utilization constants assumed by the CPU/GPU baseline models
+//! (≈0.5 for scattered sparse access, ≈0.8 for streams) come from; the
+//! `memory_model` example derives them. The pipeline itself charges
+//! DRAM traffic analytically (`bytes / peak bandwidth`).
 
 use serde::Serialize;
 
@@ -146,40 +143,6 @@ impl MemController {
     /// in order per channel) and returns the timing/locality statistics.
     /// Bank state persists across batches.
     pub fn service(&mut self, accesses: &[Access]) -> ServiceStats {
-        self.service_traced(accesses, &mut sparsepipe_trace::NullSink, 0)
-    }
-
-    /// Like [`MemController::service`], but emits one bank-level
-    /// `DramRead`/`DramWrite` event per access (class
-    /// [`sparsepipe_trace::TrafficClass::BankLevel`], ignored by the
-    /// audit — these are a re-timing of bytes already counted by the
-    /// pipeline's per-step aggregate events).
-    pub fn service_traced<S: sparsepipe_trace::TraceSink>(
-        &mut self,
-        accesses: &[Access],
-        sink: &mut S,
-        step: u32,
-    ) -> ServiceStats {
-        if S::ENABLED {
-            for a in accesses {
-                let ev = if a.write {
-                    sparsepipe_trace::TraceEvent::DramWrite {
-                        addr: a.addr,
-                        bytes: f64::from(a.bytes),
-                        class: sparsepipe_trace::TrafficClass::BankLevel,
-                        step,
-                    }
-                } else {
-                    sparsepipe_trace::TraceEvent::DramRead {
-                        addr: a.addr,
-                        bytes: f64::from(a.bytes),
-                        class: sparsepipe_trace::TrafficClass::BankLevel,
-                        step,
-                    }
-                };
-                sink.emit(ev);
-            }
-        }
         let c = self.config;
         let mut channel_busy = vec![0.0f64; c.channels];
         let mut stats = ServiceStats::default();
@@ -221,14 +184,6 @@ pub fn effective_utilization(config: MemControllerConfig, accesses: &[Access]) -
 /// in `chunk`-byte requests.
 pub fn stream_accesses(base: u64, total_bytes: u64, chunk: u32) -> Vec<Access> {
     let mut out = Vec::new();
-    stream_accesses_into(base, total_bytes, chunk, &mut out);
-    out
-}
-
-/// [`stream_accesses`] appending into a caller-reused `Vec` — the
-/// allocation-free form the pipeline's per-step detailed-memory path
-/// loops on.
-pub fn stream_accesses_into(base: u64, total_bytes: u64, chunk: u32, out: &mut Vec<Access>) {
     let mut addr = base;
     let end = base + total_bytes;
     while addr < end {
@@ -236,29 +191,19 @@ pub fn stream_accesses_into(base: u64, total_bytes: u64, chunk: u32, out: &mut V
         out.push(Access::read(addr, n));
         addr += n as u64;
     }
+    out
 }
 
 /// Synthesizes a scattered (gather-like) pattern: `count` requests of
 /// `bytes` each, spread pseudo-randomly over a `span`-byte region
 /// (deterministic; no RNG dependency).
 pub fn scattered_accesses(base: u64, span: u64, count: usize, bytes: u32) -> Vec<Access> {
-    let mut out = Vec::new();
-    scattered_accesses_into(base, span, count, bytes, &mut out);
-    out
-}
-
-/// [`scattered_accesses`] appending into a caller-reused `Vec`.
-pub fn scattered_accesses_into(
-    base: u64,
-    span: u64,
-    count: usize,
-    bytes: u32,
-    out: &mut Vec<Access>,
-) {
-    out.extend((0..count).map(|i| {
-        let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        Access::read(base + (h % span.max(1)), bytes)
-    }));
+    (0..count)
+        .map(|i| {
+            let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            Access::read(base + (h % span.max(1)), bytes)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -334,32 +279,6 @@ mod tests {
         };
         assert_eq!(stats.utilization(&dead), 0.0);
         assert!(stats.utilization(&cfg) > 0.0);
-    }
-
-    #[test]
-    fn service_traced_emits_bank_level_events() {
-        let cfg = MemControllerConfig::default();
-        let mut ctrl = MemController::new(cfg);
-        let mut sink = sparsepipe_trace::MemorySink::new();
-        let accesses = [Access::read(0, 32), Access::write(64, 32)];
-        let traced = ctrl.service_traced(&accesses, &mut sink, 7);
-        assert_eq!(sink.len(), 2);
-        assert!(matches!(
-            sink.events()[0],
-            sparsepipe_trace::TraceEvent::DramRead {
-                class: sparsepipe_trace::TrafficClass::BankLevel,
-                step: 7,
-                ..
-            }
-        ));
-        assert!(matches!(
-            sink.events()[1],
-            sparsepipe_trace::TraceEvent::DramWrite { .. }
-        ));
-        // Timing is identical with and without tracing.
-        let mut ctrl2 = MemController::new(cfg);
-        let untraced = ctrl2.service(&accesses);
-        assert_eq!(traced, untraced);
     }
 
     #[test]

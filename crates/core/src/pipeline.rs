@@ -21,7 +21,6 @@ use crate::buffer::BufferModel;
 use crate::config::SparsepipeConfig;
 use crate::engine::Deadline;
 use crate::invariants;
-use crate::memctrl::{self, MemController};
 use crate::plan::PassPlan;
 use crate::stats::TrafficBreakdown;
 
@@ -250,21 +249,11 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     let mut sram_bytes = 0.0f64;
     let mut occupancy_sum = 0.0f64;
     let mut prefetch_cursor: usize = 0;
-    let mut memctrl = config
-        .detailed_memory
-        .then(|| MemController::new(config.memctrl_config()));
-    // Continuous stream cursors: the CSC image and the vector windows are
-    // read sequentially ACROSS steps, so open DRAM pages carry over.
-    let mut csc_addr: u64 = 0;
-    let mut vec_addr: u64 = 1 << 36;
-    // Separate trace-only address cursors (the ones above belong to the
-    // detailed memory model and must not double-advance).
+    // Trace-only address cursors: the CSC image, the CSR image and the
+    // vector windows are read sequentially across steps.
     let mut ev_csc_addr: u64 = 0;
     let mut ev_csr_addr: u64 = 1 << 38;
     let mut ev_vec_addr: u64 = 1 << 36;
-    // Detailed-memory request batch, reused across steps so the
-    // bank-level path allocates once per pass, not once per step.
-    let mut accesses: Vec<memctrl::Access> = Vec::new();
 
     for s in 0..plan.steps {
         if s % DEADLINE_CHECK_STEPS == 0 {
@@ -413,25 +402,6 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         // ---- Stage costs ----
         let vec_b = vec_bytes_per_step;
         let demand_bytes = csc_bytes + refetch_bytes + vec_b;
-        // Optional bank-level timing. CSC demand and the vector windows
-        // are streams (row-hit dominated); refetched row fragments land
-        // scattered across the matrix image (row misses) — this is where
-        // the bank model charges more than the analytic roofline.
-        let detailed_mem_cycles = memctrl.as_mut().map(|ctrl| {
-            accesses.clear();
-            memctrl::stream_accesses_into(csc_addr, csc_bytes as u64, 256, &mut accesses);
-            csc_addr += csc_bytes as u64;
-            memctrl::stream_accesses_into(vec_addr, vec_b as u64, 256, &mut accesses);
-            vec_addr += vec_b as u64;
-            memctrl::scattered_accesses_into(
-                1 << 40,
-                plan.nnz as u64 * 12,
-                (refetch_bytes / 96.0).ceil() as usize,
-                96,
-                &mut accesses,
-            );
-            ctrl.service_traced(&accesses, &mut *sink, s as u32).cycles
-        });
         if S::ENABLED {
             // The E-Wise core processes this step's column block of the
             // dense operand vectors (fewer lanes on a ragged last step).
@@ -450,7 +420,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         let os_cycles = step_os_ops / (2.0 * pes); // one MAC per PE-cycle
         let ew_cycles = step_ew_ops / pes;
         let is_cycles = step_is_ops * SCATTER_FACTOR / (2.0 * pes);
-        let mem_cycles = detailed_mem_cycles.unwrap_or(demand_bytes / bpc);
+        let mem_cycles = demand_bytes / bpc;
         // Every step pays at least one memory round trip of control/
         // dependent-load latency (dispatch, mapping-table lookups, the
         // first fetch of the sub-tensor). Steps with little demand — a

@@ -351,7 +351,7 @@ pub fn write(arena: &MatrixArena, writer: &mut impl Write) -> Result<SlabHeader,
     Ok(header)
 }
 
-/// [`write`] to a file path (buffered).
+/// [`write()`] to a file path (buffered).
 ///
 /// # Errors
 ///
@@ -419,9 +419,24 @@ struct SectionReader<'a, R> {
     reader: &'a mut R,
     hash: PayloadHash,
     buf: Vec<u8>,
+    /// The stream was checked to hold the whole payload the header
+    /// declares, so sections may be allocated at their declared sizes.
+    sized: bool,
 }
 
 impl<R: Read> SectionReader<'_, R> {
+    /// The capacity a section of `count` elements starts with: all of
+    /// it on a sized stream, else at most one staging chunk (`chunk`
+    /// elements), grown as bytes arrive — so a forged header on a short
+    /// bare stream cannot make the reader allocate what it declares.
+    fn capacity(&self, count: usize, chunk: usize) -> usize {
+        if self.sized {
+            count
+        } else {
+            count.min(chunk)
+        }
+    }
+
     fn fill(&mut self, bytes: usize, context: &str) -> Result<(), SlabError> {
         self.buf.resize(bytes, 0);
         self.reader.read_exact(&mut self.buf).map_err(|e| {
@@ -441,7 +456,7 @@ impl<R: Read> SectionReader<'_, R> {
     /// straight into the returned `Vec`; the alignment pad is read with
     /// the last chunk.
     fn read_u32s(&mut self, count: usize, context: &str) -> Result<Vec<u32>, SlabError> {
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::with_capacity(self.capacity(count, STAGE_BYTES / 4));
         let mut remaining = count;
         while remaining > 0 {
             let take = remaining.min(STAGE_BYTES / 4);
@@ -458,7 +473,7 @@ impl<R: Read> SectionReader<'_, R> {
 
     /// One section of `count` f64s (LE), decoded in staging chunks.
     fn read_f64s(&mut self, count: usize, context: &str) -> Result<Vec<f64>, SlabError> {
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::with_capacity(self.capacity(count, STAGE_BYTES / 8));
         let mut remaining = count;
         while remaining > 0 {
             let take = remaining.min(STAGE_BYTES / 8);
@@ -480,23 +495,27 @@ impl<R: Read> SectionReader<'_, R> {
 /// [`MatrixArena::from_raw_parts`] structural validation before anything
 /// is handed to the simulator.
 ///
-/// The arrays are allocated at the sizes the header declares, so a
-/// forged header on a short stream can request far more memory than the
-/// stream holds; [`read_file`] checks the declared size against the
-/// file's before allocating.
+/// A bare stream's length is unknown, so each array starts at one
+/// staging chunk and grows as its bytes arrive: a forged header on a
+/// short stream fails with [`SlabError::Truncated`] having allocated at
+/// most one chunk more than the stream held. [`read_file`] checks the
+/// declared size against the file's first and allocates each array
+/// exactly.
 ///
 /// # Errors
 ///
 /// Any [`SlabError`]; see the stable codes in the module docs.
 pub fn read(reader: &mut impl Read) -> Result<(MatrixArena, SlabHeader), SlabError> {
     let header = peek(reader)?;
-    read_payload(reader, header)
+    read_payload(reader, header, false)
 }
 
-/// The payload half of [`read`], after `header` was peeked.
+/// The payload half of [`read`], after `header` was peeked; `sized`
+/// says the stream was checked to hold the declared payload.
 fn read_payload(
     reader: &mut impl Read,
     header: SlabHeader,
+    sized: bool,
 ) -> Result<(MatrixArena, SlabHeader), SlabError> {
     let n = header.n as usize;
     let nnz = usize::try_from(header.nnz).map_err(|_| SlabError::Shape {
@@ -506,6 +525,7 @@ fn read_payload(
         reader,
         hash: PayloadHash::new(),
         buf: Vec::new(),
+        sized,
     };
     let csc_ptr = sec.read_u32s(n + 1, "csc_ptr")?;
     let csc_rows = sec.read_u32s(nnz, "csc_rows")?;
@@ -546,7 +566,7 @@ pub fn read_file(path: &Path) -> Result<(MatrixArena, SlabHeader), SlabError> {
             ),
         });
     }
-    read_payload(&mut reader, header)
+    read_payload(&mut reader, header, true)
 }
 
 /// Streaming MatrixMarket → slab conversion: two visitor passes over the
@@ -779,6 +799,20 @@ mod tests {
         std::fs::write(&path, file).unwrap();
         assert_eq!(read_file(&path).unwrap_err().code(), "slab-shape");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn forged_header_on_a_bare_stream_fails_before_allocating() {
+        // n = nnz = 2^32 - 2 over an empty payload: sized by the header,
+        // the first section alone would be ~16 GiB. A bare-stream read
+        // starts at one staging chunk and fails at the first short read.
+        let mut head = [0u8; HEADER_BYTES];
+        head[0..8].copy_from_slice(&MAGIC);
+        head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        head[16..20].copy_from_slice(&(u32::MAX - 1).to_le_bytes());
+        head[24..32].copy_from_slice(&(u64::from(u32::MAX) - 1).to_le_bytes());
+        let err = read(&mut head.as_slice()).unwrap_err();
+        assert_eq!(err.code(), "slab-truncated", "{err}");
     }
 
     #[test]

@@ -159,29 +159,3 @@ fn auto_subtensor_is_competitive() {
         best
     );
 }
-
-/// Detailed (bank-level) memory timing never makes the simulator faster
-/// than the analytic roofline charge, and stays within a sane factor.
-#[test]
-fn detailed_memory_brackets_analytic_model() {
-    let m = corpus::power_law(10_000, 90_000, 1.2, 0.4, 17);
-    let program = pagerank_program();
-    let analytic = simulate(&program, &m, 10, &cfg()).unwrap();
-    let detailed_cfg = SparsepipeConfig {
-        detailed_memory: true,
-        ..cfg()
-    };
-    let detailed = simulate(&program, &m, 10, &detailed_cfg).unwrap();
-    assert!(
-        detailed.runtime_s >= analytic.runtime_s * 0.95,
-        "bank model cannot beat the roofline: {} vs {}",
-        detailed.runtime_s,
-        analytic.runtime_s
-    );
-    assert!(
-        detailed.runtime_s <= analytic.runtime_s * 3.0,
-        "bank model unreasonably slow: {} vs {}",
-        detailed.runtime_s,
-        analytic.runtime_s
-    );
-}

@@ -11,7 +11,7 @@
 //! operator, reached through a loop-carried edge) where
 //!
 //! 1. every op on the path has sub-tensor dependency
-//!    ([`OpKind::has_subtensor_dependency`]), **and**
+//!    ([`OpKind::has_subtensor_dependency`](crate::OpKind::has_subtensor_dependency)), **and**
 //! 2. no op on the path takes a *side operand* that is itself downstream of
 //!    a matrix operator within the iteration — a scalar like CG's `α =
 //!    rᵀr / pᵀAp` depends on **every** element of the `vxm` output, which

@@ -87,7 +87,7 @@ impl Interval {
         }
     }
 
-    /// An exact value widened by [`RELATIVE_TOL`] on both sides (an exact
+    /// An exact value widened by `RELATIVE_TOL` (1e-9) on both sides (an exact
     /// zero stays `[0, 0]`: the engine only produces zero as a sum of
     /// exact zeros).
     #[must_use]
@@ -98,7 +98,7 @@ impl Interval {
         }
     }
 
-    /// `[lower, upper]` widened outward by [`RELATIVE_TOL`].
+    /// `[lower, upper]` widened outward by `RELATIVE_TOL`.
     #[must_use]
     pub fn banded(lower: f64, upper: f64) -> Self {
         Interval::new(

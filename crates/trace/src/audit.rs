@@ -54,7 +54,6 @@ impl AuditTotals {
             TrafficClass::Refetch => self.refetch_bytes += bytes,
             TrafficClass::VectorRead => self.vector_bytes += bytes,
             TrafficClass::Writeback => self.writeback_bytes += bytes,
-            TrafficClass::BankLevel => {}
         }
     }
 
@@ -84,7 +83,7 @@ pub struct PassTraffic {
 /// Splits an event stream into per-pass traffic accumulations,
 /// preserving stream order. Events before the first
 /// [`TraceEvent::PassBoundary`] belong to an implicit pass 0 with
-/// `repeats == 1`. [`TrafficClass::BankLevel`] events are ignored.
+/// `repeats == 1`.
 pub fn replay_passes<'a, I>(events: I) -> Vec<PassTraffic>
 where
     I: IntoIterator<Item = &'a TraceEvent>,
@@ -285,17 +284,6 @@ mod tests {
         assert_eq!(audit.passes.len(), 1);
         assert_eq!(audit.passes[0].repeats, 1);
         assert_eq!(audit.replayed.refetch_bytes, 10.5);
-    }
-
-    #[test]
-    fn bank_level_events_are_ignored() {
-        let events = vec![
-            read(TrafficClass::CscDemand, 64.0, 0),
-            read(TrafficClass::BankLevel, 64.0, 0),
-        ];
-        let audit = TraceAudit::replay(&events);
-        assert_eq!(audit.replayed.csc_bytes, 64.0);
-        assert_eq!(audit.replayed.total_bytes(), 64.0);
     }
 
     #[test]

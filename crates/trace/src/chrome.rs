@@ -62,7 +62,6 @@ pub fn export(events: &[TraceEvent]) -> String {
                     TrafficClass::Refetch => 2,
                     TrafficClass::VectorRead => 3,
                     TrafficClass::Writeback => 4,
-                    TrafficClass::BankLevel => continue,
                 };
                 step_bytes[idx] += bytes;
             }

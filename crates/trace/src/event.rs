@@ -21,14 +21,9 @@ impl PipeStage {
 
 /// Which traffic category a DRAM event belongs to.
 ///
-/// The first five variants mirror the fields of the engine's
-/// `TrafficBreakdown` one-to-one; replaying their byte payloads is how
-/// [`crate::TraceAudit`] reconstructs the report totals. [`BankLevel`]
-/// events are a *re-timing* of bytes already counted by an aggregate
-/// event (they come from the detailed DRAM-bank model) and are ignored
-/// by the audit.
-///
-/// [`BankLevel`]: TrafficClass::BankLevel
+/// The variants mirror the fields of the engine's `TrafficBreakdown`
+/// one-to-one; replaying their byte payloads is how
+/// [`crate::TraceAudit`] reconstructs the report totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Demand-fetched CSC matrix bytes (includes analytic matrix sweeps).
@@ -41,10 +36,6 @@ pub enum TrafficClass {
     VectorRead,
     /// Dense vector result writebacks.
     Writeback,
-    /// Per-access bank-level traffic from the detailed memory model;
-    /// excluded from audit totals (the bytes are already counted by the
-    /// per-step aggregate events).
-    BankLevel,
 }
 
 impl TrafficClass {
@@ -56,7 +47,6 @@ impl TrafficClass {
             TrafficClass::Refetch => "refetch",
             TrafficClass::VectorRead => "vector",
             TrafficClass::Writeback => "writeback",
-            TrafficClass::BankLevel => "bank",
         }
     }
 }

@@ -25,7 +25,7 @@
 //! * [`lint`] — the static verifier: dataflow-graph well-formedness, an
 //!   independent OEI fusion-legality oracle, and pass-plan feasibility
 //!   checks, reported as structured diagnostics.
-//! * [`bench`] — the experiment harness that regenerates every table and
+//! * [`bench`](mod@bench) — the experiment harness that regenerates every table and
 //!   figure of the paper's evaluation.
 //!
 //! # Quick start
