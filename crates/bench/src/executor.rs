@@ -357,11 +357,6 @@ impl Executor {
     /// Creates an executor with `jobs` workers; `0` selects the machine's
     /// available parallelism.
     pub fn new(jobs: usize) -> Self {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            jobs
-        };
         Executor::with_shared_cache(jobs, Arc::new(MatrixCache::new()))
     }
 
@@ -409,36 +404,7 @@ impl Executor {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if self.jobs == 1 || items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let workers = self.jobs.min(items.len());
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                s.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    if tx.send((i, f(item))).is_err() {
-                        break;
-                    }
-                });
-            }
-        })
-        .expect("executor workers must not panic");
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every point produced a result"))
-            .collect()
+        self.fan_out(items, f, |_, _| {})
     }
 
     /// [`Executor::run`] with per-point fault isolation: each attempt runs
@@ -459,7 +425,7 @@ impl Executor {
         retry: &RetryPolicy,
         key_of: K,
         f: F,
-        mut on_result: impl FnMut(usize, &PointOutcome<R>),
+        on_result: impl FnMut(usize, &PointOutcome<R>),
     ) -> Vec<PointOutcome<R>>
     where
         T: Sync,
@@ -467,34 +433,48 @@ impl Executor {
         K: Fn(&T) -> PointKey + Sync,
         F: Fn(&T, u32) -> Result<R, BenchError> + Sync,
     {
-        let run_point = |item: &T| -> PointOutcome<R> {
-            isolate_point(retry, || key_of(item), |attempt| f(item, attempt))
-        };
+        self.fan_out(
+            items,
+            |item| isolate_point(retry, || key_of(item), |attempt| f(item, attempt)),
+            on_result,
+        )
+    }
 
+    /// The worker loop behind [`Executor::run`] and
+    /// [`Executor::run_isolated`]: applies `f` to every item across the
+    /// pool, hands each result to `on_result` on the calling thread in
+    /// **completion** order while workers still run, and returns the
+    /// results in input order.
+    fn fan_out<T, R, F>(&self, items: &[T], f: F, mut on_result: impl FnMut(usize, &R)) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
         if self.jobs == 1 || items.len() <= 1 {
             return items
                 .iter()
                 .enumerate()
                 .map(|(i, item)| {
-                    let outcome = run_point(item);
-                    on_result(i, &outcome);
-                    outcome
+                    let r = f(item);
+                    on_result(i, &r);
+                    r
                 })
                 .collect();
         }
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, PointOutcome<R>)>();
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
         let workers = self.jobs.min(items.len());
-        let mut slots: Vec<Option<PointOutcome<R>>> = (0..items.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
         crossbeam::thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
-                let run_point = &run_point;
+                let f = &f;
                 s.spawn(move |_| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    if tx.send((i, run_point(item))).is_err() {
+                    if tx.send((i, f(item))).is_err() {
                         break;
                     }
                 });
@@ -502,15 +482,15 @@ impl Executor {
             // Receive on the caller's thread *while workers run*, so
             // `on_result` (journal appends) lands incrementally.
             drop(tx);
-            for (i, outcome) in rx {
-                on_result(i, &outcome);
-                slots[i] = Some(outcome);
+            for (i, r) in rx {
+                on_result(i, &r);
+                slots[i] = Some(r);
             }
         })
         .expect("executor workers must not panic");
         slots
             .into_iter()
-            .map(|r| r.expect("every point produced an outcome"))
+            .map(|r| r.expect("every point produced a result"))
             .collect()
     }
 

@@ -258,7 +258,6 @@ pub struct EvalRequest<'a> {
     cache: Option<&'a MatrixCache>,
     sink: Option<MemorySink>,
     deadline: Option<std::time::Duration>,
-    retry: crate::fault::RetryPolicy,
 }
 
 /// What [`EvalRequest::run`] produces.
@@ -268,8 +267,6 @@ pub struct EvalOutcome {
     pub evaluation: Evaluation,
     /// The audited trace sink, when the request was [`EvalRequest::trace`]d.
     pub trace: Option<MemorySink>,
-    /// Attempts taken (> 1 only with [`EvalRequest::retry`]).
-    pub attempts: u32,
 }
 
 impl<'a> EvalRequest<'a> {
@@ -282,13 +279,12 @@ impl<'a> EvalRequest<'a> {
             cache: None,
             sink: None,
             deadline: None,
-            retry: crate::fault::RetryPolicy::default(),
         }
     }
 
     /// Shares derived per-matrix artifacts (pass plans, CSR/CSC arenas,
     /// profiles) through `cache`, keyed by the dataset's matrix id;
-    /// without one, each attempt derives them into a private cache. The
+    /// without one, the run derives them into a private cache. The
     /// entry produced is unchanged — the cache only avoids re-deriving
     /// immutable artifacts when many apps sweep the same matrix.
     #[must_use]
@@ -318,16 +314,6 @@ impl<'a> EvalRequest<'a> {
         self
     }
 
-    /// Retries failed attempts on `policy`'s deterministic schedule.
-    /// This is a plain error-retry loop (panics are not caught here —
-    /// point *isolation* lives in
-    /// [`Executor::run_isolated`](crate::executor::Executor::run_isolated)).
-    #[must_use]
-    pub fn retry(mut self, policy: crate::fault::RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Runs the evaluation.
     ///
     /// # Errors
@@ -337,31 +323,6 @@ impl<'a> EvalRequest<'a> {
     /// deadline expiry), and [`BenchError::Trace`] when a traced stream
     /// does not reproduce the run's report exactly.
     pub fn run(mut self) -> Result<EvalOutcome, BenchError> {
-        let retry = self.retry;
-        let mut attempt = 1u32;
-        loop {
-            match self.attempt_once() {
-                Ok(evaluation) => {
-                    return Ok(EvalOutcome {
-                        evaluation,
-                        trace: self.sink,
-                        attempts: attempt,
-                    })
-                }
-                Err(e) => match retry.backoff_after(attempt) {
-                    Some(delay) => {
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        attempt += 1;
-                    }
-                    None => return Err(e),
-                },
-            }
-        }
-    }
-
-    fn attempt_once(&mut self) -> Result<Evaluation, BenchError> {
         let private;
         let cache = match self.cache {
             Some(shared) => shared,
@@ -374,7 +335,7 @@ impl<'a> EvalRequest<'a> {
             cache,
             MatrixCache::key_for(self.dataset.id.code(), &self.dataset.reordered),
         );
-        match &mut self.sink {
+        let evaluation = match &mut self.sink {
             Some(sink) => {
                 sink.clear();
                 let ev = evaluate_with_sink(
@@ -392,7 +353,7 @@ impl<'a> EvalRequest<'a> {
                         matrix: self.dataset.id,
                         message: e.to_string(),
                     })?;
-                Ok(ev)
+                ev
             }
             None => evaluate_with_sink(
                 self.app,
@@ -401,8 +362,12 @@ impl<'a> EvalRequest<'a> {
                 &mut NullSink,
                 cache,
                 self.deadline,
-            ),
-        }
+            )?,
+        };
+        Ok(EvalOutcome {
+            evaluation,
+            trace: self.sink,
+        })
     }
 }
 

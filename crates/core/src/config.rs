@@ -131,8 +131,8 @@ pub struct SparsepipeConfig {
     /// Run the [`crate::invariants`] shadow checker every pipeline step,
     /// even in release builds: per-event buffer preconditions plus a
     /// whole-buffer residency/accounting audit at each step end. Costs
-    /// O(nnz) per step; meant for tests and the verification harness, not
-    /// for sweeps.
+    /// O(nnz) per step; only tests turn it on (no CLI or sweep path
+    /// does).
     pub validate: bool,
 }
 

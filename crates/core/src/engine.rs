@@ -6,10 +6,10 @@ use sparsepipe_tensor::{reorder, CooMatrix};
 use sparsepipe_trace::{TraceEvent, TraceSink, TrafficClass};
 
 use crate::config::{ReorderKind, SparsepipeConfig};
-use crate::energy::{EnergyModel, EnergyTally};
+use crate::energy::EnergyTally;
 use crate::pipeline::{PassParams, PassResult};
 use crate::plan::PassPlan;
-use crate::stats::{BwSample, SimReport, TrafficBreakdown};
+use crate::stats::{BwSample, SimReport, TrafficBreakdown, TrafficLedger};
 use crate::CoreError;
 
 /// A resolved wall-clock deadline for one simulation run, carried through
@@ -101,9 +101,6 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     check_deadline(deadline)?;
 
     let mut diagnostics: Vec<String> = Vec::new();
-    let mut sim_steps = 0u64;
-    let mut modeled_passes = 0u64;
-    let mut peak_working_set = 0.0f64;
 
     // ---- Offline preprocessing (§IV-E; not part of the timed run) ----
     let reorder_kind = config.preprocessing.reorder;
@@ -136,14 +133,10 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     let n = matrix.nrows() as f64;
     let nnz = matrix.nnz() as f64;
 
-    let mut tally = EnergyTally::new(EnergyModel::default());
-    let mut traffic = TrafficBreakdown::default();
-    let mut total_cycles = 0.0f64;
-    let mut evicted = 0u64;
-    let mut repacks = 0u64;
-    let mut buffer_peak = 0.0f64;
-    let mut buffer_avg = 0.0f64;
-    let mut bw_trace: Vec<BwSample> = Vec::new();
+    let mut run = RunTotals {
+        bpc,
+        ..RunTotals::default()
+    };
     let mut mxm_stats: Option<crate::spgemm::MxmStats> = None;
 
     if profile.mxm_passes > 0 {
@@ -164,11 +157,14 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             ));
             (iterations, 0, 1.0)
         };
+        if remainder_iters > 0 {
+            diagnostics
+                .push("odd iteration count: trailing iteration's mxm sweep runs unfused".into());
+        }
         let arena =
             &*cache.reordered_arena(key, reorder_kind, || crate::MatrixArena::from_coo(matrix));
         check_deadline(deadline)?;
         let t_rows = config.subtensor_auto(matrix.ncols(), matrix.nnz());
-        let riders = profile.ewise_matrix_passes as f64;
         let steps = crate::spgemm::step_count(arena.n(), t_rows) as u32;
 
         // One plan serves the fused units and the unfused tail: the
@@ -181,66 +177,18 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             deadline,
         )?;
         mxm_stats = Some(plan.stats());
-        let params = |fused_iterations| crate::spgemm::MxmParams {
-            fused_iterations,
-            ewise_matrix_passes: riders,
-            t_rows,
-        };
-
-        if full_units > 0 {
-            let repeats = (full_units * profile.mxm_passes) as u64;
-            if S::ENABLED {
-                sink.emit(TraceEvent::PassBoundary {
-                    pass: 0,
-                    repeats,
-                    steps,
-                });
+        for (units, fused_iterations) in [(full_units, share), (remainder_iters, 1.0)] {
+            if units == 0 {
+                continue;
             }
-            let pass = &plan.replay(config, &params(share), sink);
-            accumulate_pass(
-                pass,
-                repeats as f64,
-                &mut traffic,
-                &mut total_cycles,
-                &mut tally,
-            );
-            evicted = pass.evictions * repeats;
-            buffer_peak = pass.buffer_peak_bytes;
-            buffer_avg = pass.buffer_avg_bytes;
-            bw_trace = downsample_trace(pass, bpc, 25);
-            sim_steps += pass.steps.len() as u64;
-            modeled_passes += repeats;
-            peak_working_set = peak_working_set.max(pass.buffer_peak_bytes);
-        }
-
-        if remainder_iters > 0 {
-            diagnostics
-                .push("odd iteration count: trailing iteration's mxm sweep runs unfused".into());
-            let repeats = profile.mxm_passes as u64;
-            if S::ENABLED {
-                sink.emit(TraceEvent::PassBoundary {
-                    pass: u32::from(full_units > 0),
-                    repeats,
-                    steps,
-                });
-            }
-            let pass = &plan.replay(config, &params(1.0), sink);
-            accumulate_pass(
-                pass,
-                repeats as f64,
-                &mut traffic,
-                &mut total_cycles,
-                &mut tally,
-            );
-            evicted += pass.evictions * repeats;
-            buffer_peak = buffer_peak.max(pass.buffer_peak_bytes);
-            if bw_trace.is_empty() {
-                buffer_avg = pass.buffer_avg_bytes;
-                bw_trace = downsample_trace(pass, bpc, 25);
-            }
-            sim_steps += pass.steps.len() as u64;
-            modeled_passes += repeats;
-            peak_working_set = peak_working_set.max(pass.buffer_peak_bytes);
+            let repeats = (units * profile.mxm_passes) as u64;
+            run.open(sink, repeats, steps);
+            let params = crate::spgemm::MxmParams {
+                fused_iterations,
+                ewise_matrix_passes: profile.ewise_matrix_passes as f64,
+                t_rows,
+            };
+            run.fold(&plan.replay(config, &params, sink), repeats, 0.0);
         }
     } else if profile.has_oei {
         let (full_passes, remainder_iters, ewise_iterations) = if profile.cross_iteration {
@@ -277,89 +225,31 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                 vec_read_passes: profile.fused_vector_reads + feature,
                 vec_write_passes: profile.fused_vector_writes + feature,
             };
-            if S::ENABLED {
-                sink.emit(TraceEvent::PassBoundary {
-                    pass: 0,
-                    repeats: full_passes as u64,
-                    steps: plan.steps as u32,
-                });
-            }
+            let repeats = full_passes as u64;
+            run.open(sink, repeats, plan.steps as u32);
             let pass = crate::pipeline::execute_pass_traced(plan, config, &params, sink, deadline)?;
-            accumulate_pass(
-                &pass,
-                full_passes as f64,
-                &mut traffic,
-                &mut total_cycles,
-                &mut tally,
-            );
-            evicted = pass.evictions * full_passes as u64;
-            repacks = pass.repacks * full_passes as u64;
-            buffer_peak = pass.buffer_peak_bytes;
-            buffer_avg = pass.buffer_avg_bytes;
-            bw_trace = downsample_trace(&pass, bpc, 25);
-            sim_steps += pass.steps.len() as u64;
-            modeled_passes += full_passes as u64;
-            peak_working_set = peak_working_set.max(pass.buffer_peak_bytes + n * 8.0 * feature);
+            run.fold(&pass, repeats, n * 8.0 * feature);
         }
 
         if remainder_iters > 0 {
             diagnostics
                 .push("odd iteration count: trailing iteration runs unfused at roofline".into());
-            sim_steps += 1;
-            modeled_passes += 1;
             // A trailing single iteration with no partner to fuse with:
             // one OS-only sweep at roofline.
             let mbytes = nnz * fetch_b * profile.matrix_passes as f64;
             let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
-            let vec_read_b = vbytes * 0.6;
-            let vec_write_b = vbytes * 0.4;
             let compute = (nnz * 2.0 * feature) / (2.0 * config.pes_per_core as f64)
                 + n * feature * (ewise_arith + profile.dense_flops_per_element)
                     / config.pes_per_core as f64;
-            let cycles = ((mbytes + vbytes) / bpc).max(compute);
-            total_cycles += cycles;
-            traffic.csc_bytes += mbytes;
-            traffic.vector_bytes += vec_read_b;
-            traffic.writeback_bytes += vec_write_b;
-            if S::ENABLED {
-                // An analytic sweep: one pass (repeats = 1) whose events
-                // carry the exact closed-form totals added to `traffic`
-                // above — re-deriving them per-iteration would reorder
-                // the f64 arithmetic and break the audit's bitwise match.
-                sink.emit(TraceEvent::PassBoundary {
-                    pass: u32::from(full_passes > 0),
-                    repeats: 1,
-                    steps: 1,
-                });
-                if mbytes > 0.0 {
-                    sink.emit(TraceEvent::DramRead {
-                        addr: 0,
-                        bytes: mbytes,
-                        class: TrafficClass::CscDemand,
-                        step: 0,
-                    });
-                }
-                if vec_read_b > 0.0 {
-                    sink.emit(TraceEvent::DramRead {
-                        addr: 1 << 36,
-                        bytes: vec_read_b,
-                        class: TrafficClass::VectorRead,
-                        step: 0,
-                    });
-                }
-                if vec_write_b > 0.0 {
-                    sink.emit(TraceEvent::DramWrite {
-                        addr: 1 << 36,
-                        bytes: vec_write_b,
-                        class: TrafficClass::Writeback,
-                        step: 0,
-                    });
-                }
-            }
-            tally.dram_read(mbytes + vec_read_b);
-            tally.dram_write(vec_write_b);
-            tally.sram(2.0 * (mbytes + vbytes));
-            tally.compute(nnz * 2.0 * feature + n * feature * ewise_arith);
+            run.open(sink, 1, 1);
+            let pass = closed_form_pass(
+                sink,
+                ((mbytes + vbytes) / bpc).max(compute),
+                [mbytes, vbytes * 0.6, vbytes * 0.4],
+                2.0 * (mbytes + vbytes),
+                nnz * 2.0 * feature + n * feature * ewise_arith,
+            );
+            run.fold(&pass, 1, 0.0);
         }
     } else {
         // ---- No OEI: sequential operator passes with producer-consumer
@@ -369,9 +259,6 @@ pub(crate) fn simulate_inner<S: TraceSink>(
         diagnostics.push(format!(
             "no OEI: {iterations} sequential iteration(s), producer-consumer fusion only"
         ));
-        sim_steps += iterations as u64;
-        modeled_passes += (iterations * profile.matrix_passes) as u64;
-        peak_working_set = peak_working_set.max(2.0 * n * 8.0 * feature);
         let mbytes = profile.matrix_passes as f64 * nnz * fetch_b;
         let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
         let pes = config.pes_per_core as f64;
@@ -384,58 +271,27 @@ pub(crate) fn simulate_inner<S: TraceSink>(
         const DISPATCH_OVERHEAD: f64 = 1.12;
         let per_iter_cycles =
             ((mbytes + vbytes) / bpc).max(matrix_compute + ewise_compute) * DISPATCH_OVERHEAD;
-        total_cycles = per_iter_cycles * iterations as f64;
         let reads = profile.fused_vector_reads
             / (profile.fused_vector_reads + profile.fused_vector_writes).max(1e-9);
+        // One closed-form pass carrying the full totals — never
+        // per-iteration values × iterations: f64 multiplication does not
+        // re-associate across that split, and the audit compares bits.
         let csc_total = mbytes * iterations as f64;
         let vec_total_read = vbytes * iterations as f64 * reads;
         let vec_total_write = vbytes * iterations as f64 * (1.0 - reads);
-        traffic.csc_bytes = csc_total;
-        traffic.vector_bytes = vec_total_read;
-        traffic.writeback_bytes = vec_total_write;
-        if S::ENABLED {
-            // Closed-form sweep: a single pass whose events carry the full
-            // computed totals (never per-iteration values × iters — f64
-            // multiplication is not associative across that split, and the
-            // audit compares bit patterns).
-            sink.emit(TraceEvent::PassBoundary {
-                pass: 0,
-                repeats: 1,
-                steps: 1,
-            });
-            if csc_total > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: 0,
-                    bytes: csc_total,
-                    class: TrafficClass::CscDemand,
-                    step: 0,
-                });
-            }
-            if vec_total_read > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: 1 << 36,
-                    bytes: vec_total_read,
-                    class: TrafficClass::VectorRead,
-                    step: 0,
-                });
-            }
-            if vec_total_write > 0.0 {
-                sink.emit(TraceEvent::DramWrite {
-                    addr: 1 << 36,
-                    bytes: vec_total_write,
-                    class: TrafficClass::Writeback,
-                    step: 0,
-                });
-            }
-        }
-        tally.dram_read(traffic.csc_bytes + traffic.vector_bytes);
-        tally.dram_write(traffic.writeback_bytes);
-        tally.sram(2.0 * (traffic.csc_bytes + traffic.vector_bytes + traffic.writeback_bytes));
-        tally.compute(
+        run.open(sink, 1, 1);
+        let pass = closed_form_pass(
+            sink,
+            per_iter_cycles * iterations as f64,
+            [csc_total, vec_total_read, vec_total_write],
+            2.0 * (csc_total + vec_total_read + vec_total_write),
             iterations as f64
                 * (profile.matrix_passes as f64 * nnz * 2.0 * feature + n * feature * ewise_arith),
         );
-        bw_trace = vec![
+        run.fold(&pass, 1, 2.0 * n * 8.0 * feature);
+        run.sim_steps = iterations as u64;
+        run.modeled_passes = (iterations * profile.matrix_passes) as u64;
+        run.bw_trace = vec![
             BwSample {
                 utilization: ((mbytes + vbytes) / bpc / per_iter_cycles).min(1.0),
                 csc_frac: (mbytes / bpc / per_iter_cycles).min(1.0),
@@ -446,6 +302,8 @@ pub(crate) fn simulate_inner<S: TraceSink>(
         ];
     }
 
+    let traffic = run.traffic;
+    let total_cycles = run.cycles;
     let total_bytes = traffic.total_bytes();
     let avg_bw_utilization = (total_bytes / (total_cycles * bpc)).min(1.0);
     let matrix_read_bytes = traffic.csc_bytes + traffic.csr_eager_bytes + traffic.refetch_bytes;
@@ -457,12 +315,12 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             runtime_s,
             traffic,
             avg_bw_utilization,
-            bw_trace,
-            buffer_peak_bytes: buffer_peak,
-            buffer_avg_bytes: buffer_avg,
-            evicted_elements: evicted,
-            repack_events: repacks,
-            energy: tally.breakdown(),
+            bw_trace: run.bw_trace,
+            buffer_peak_bytes: run.buffer_peak,
+            buffer_avg_bytes: run.buffer_avg,
+            evicted_elements: run.evicted,
+            repack_events: run.repacks,
+            energy: run.tally.breakdown(),
             matrix_loads_per_iteration: {
                 let denom = nnz * fetch_b * profile.matrix_passes as f64 * iterations as f64;
                 if denom > 0.0 {
@@ -473,33 +331,112 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             },
             iterations,
         },
-        sim_steps,
-        modeled_passes,
-        peak_working_set_bytes: peak_working_set,
+        sim_steps: run.sim_steps,
+        modeled_passes: run.modeled_passes,
+        peak_working_set_bytes: run.peak_working_set,
         diagnostics,
         mxm: mxm_stats,
     })
 }
 
-fn accumulate_pass(
-    pass: &PassResult,
-    count: f64,
-    traffic: &mut TrafficBreakdown,
-    total_cycles: &mut f64,
-    tally: &mut EnergyTally,
-) {
-    let mut scaled = pass.traffic;
-    scaled.csc_bytes *= count;
-    scaled.csr_eager_bytes *= count;
-    scaled.refetch_bytes *= count;
-    scaled.vector_bytes *= count;
-    scaled.writeback_bytes *= count;
-    traffic.add(&scaled);
-    *total_cycles += pass.cycles * count;
-    tally.dram_read(scaled.read_bytes());
-    tally.dram_write(scaled.writeback_bytes);
-    tally.sram(pass.sram_bytes * count);
-    tally.compute((pass.os_ops + pass.ew_ops + pass.is_ops) * count);
+/// A closed-form sweep as a step-less pass: its `[CSC, vector read,
+/// write-back]` bytes charged at step 0 and all of its compute in
+/// `os_ops`, so [`RunTotals::fold`] at `repeats = 1` reproduces the
+/// sweep's arithmetic exactly (`x * 1.0` and `x + 0.0` are identities).
+fn closed_form_pass<S: TraceSink>(
+    sink: &mut S,
+    cycles: f64,
+    [csc, vec_read, writeback]: [f64; 3],
+    sram_bytes: f64,
+    ops: f64,
+) -> PassResult {
+    let mut ledger = TrafficLedger::default();
+    ledger.charge(sink, TrafficClass::CscDemand, csc, 0);
+    ledger.charge(sink, TrafficClass::VectorRead, vec_read, 0);
+    ledger.charge(sink, TrafficClass::Writeback, writeback, 0);
+    PassResult {
+        cycles,
+        traffic: ledger.totals,
+        steps: Vec::new(),
+        evictions: 0,
+        repacks: 0,
+        buffer_peak_bytes: 0.0,
+        buffer_avg_bytes: 0.0,
+        os_ops: ops,
+        ew_ops: 0.0,
+        is_ops: 0.0,
+        sram_bytes,
+    }
+}
+
+/// The run-level accumulators every schedule arm folds its passes into.
+#[derive(Default)]
+struct RunTotals {
+    /// Bytes per cycle, for down-sampling the first pass's bandwidth trace.
+    bpc: f64,
+    /// Passes folded so far (the next [`TraceEvent::PassBoundary`] ordinal).
+    passes: u32,
+    traffic: TrafficBreakdown,
+    cycles: f64,
+    tally: EnergyTally,
+    evicted: u64,
+    repacks: u64,
+    buffer_peak: f64,
+    buffer_avg: f64,
+    bw_trace: Vec<BwSample>,
+    sim_steps: u64,
+    modeled_passes: u64,
+    peak_working_set: f64,
+}
+
+impl RunTotals {
+    /// Opens the next pass in the trace: the boundary the audit scales
+    /// that pass's DRAM events by.
+    fn open<S: TraceSink>(&self, sink: &mut S, repeats: u64, steps: u32) {
+        if S::ENABLED {
+            sink.emit(TraceEvent::PassBoundary {
+                pass: self.passes,
+                repeats,
+                steps,
+            });
+        }
+    }
+
+    /// Folds `repeats` runs of `pass` into the totals: every field is
+    /// scaled by `repeats as f64` and then added, the arithmetic the
+    /// trace audit's replay mirrors. The bandwidth trace and the mean
+    /// occupancy come from the first pass; a step-less (closed-form) pass
+    /// counts as one step; `vector_window` is the dense working set the
+    /// pass keeps beside its buffer peak.
+    fn fold(&mut self, pass: &PassResult, repeats: u64, vector_window: f64) {
+        let count = repeats as f64;
+        let mut scaled = pass.traffic;
+        scaled.csc_bytes *= count;
+        scaled.csr_eager_bytes *= count;
+        scaled.refetch_bytes *= count;
+        scaled.vector_bytes *= count;
+        scaled.writeback_bytes *= count;
+        self.traffic.add(&scaled);
+        self.cycles += pass.cycles * count;
+        self.tally.dram_read(scaled.read_bytes());
+        self.tally.dram_write(scaled.writeback_bytes);
+        self.tally.sram(pass.sram_bytes * count);
+        self.tally
+            .compute((pass.os_ops + pass.ew_ops + pass.is_ops) * count);
+        self.evicted += pass.evictions * repeats;
+        self.repacks += pass.repacks * repeats;
+        self.buffer_peak = self.buffer_peak.max(pass.buffer_peak_bytes);
+        if self.passes == 0 {
+            self.buffer_avg = pass.buffer_avg_bytes;
+            self.bw_trace = downsample_trace(pass, self.bpc, 25);
+        }
+        self.sim_steps += pass.steps.len().max(1) as u64;
+        self.modeled_passes += repeats;
+        self.peak_working_set = self
+            .peak_working_set
+            .max(pass.buffer_peak_bytes + vector_window);
+        self.passes += 1;
+    }
 }
 
 fn downsample_trace(pass: &PassResult, bpc: f64, buckets: usize) -> Vec<BwSample> {
@@ -604,6 +541,51 @@ mod tests {
         let m = gen::uniform(4000, 4000, 40_000, 9);
         let report = simulate(&cg_like_program(), &m, 20, &cfg()).unwrap();
         assert!((report.matrix_loads_per_iteration - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn closed_form_stream_emits_one_pass_of_three_charges() {
+        use sparsepipe_trace::MemorySink;
+        let m = gen::uniform(1000, 1000, 8000, 4);
+        let mut sink = MemorySink::new();
+        let traced = crate::driver::SimRequest::new(&cg_like_program(), &m)
+            .iterations(7)
+            .config(cfg())
+            .trace(&mut sink)
+            .run()
+            .unwrap()
+            .report;
+        let t = traced.traffic;
+        assert!(t.csc_bytes > 0.0 && t.vector_bytes > 0.0 && t.writeback_bytes > 0.0);
+        let vec = 1u64 << 36;
+        assert_eq!(
+            sink.events(),
+            [
+                TraceEvent::PassBoundary {
+                    pass: 0,
+                    repeats: 1,
+                    steps: 1,
+                },
+                TraceEvent::DramRead {
+                    addr: 0,
+                    bytes: t.csc_bytes,
+                    class: TrafficClass::CscDemand,
+                    step: 0,
+                },
+                TraceEvent::DramRead {
+                    addr: vec,
+                    bytes: t.vector_bytes,
+                    class: TrafficClass::VectorRead,
+                    step: 0,
+                },
+                TraceEvent::DramWrite {
+                    addr: vec + t.vector_bytes as u64,
+                    bytes: t.writeback_bytes,
+                    class: TrafficClass::Writeback,
+                    step: 0,
+                },
+            ]
+        );
     }
 
     #[test]

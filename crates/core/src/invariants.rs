@@ -14,8 +14,8 @@
 //!   as the old `debug_assert!`s did.
 //! * **`SparsepipeConfig::validate`** additionally runs the O(resident)
 //!   whole-buffer audit ([`check_step`]) at the end of every pipeline step,
-//!   in release builds too. This is the flag the lint/verification harness
-//!   flips when exercising the simulator.
+//!   in release builds too. Only tests set it; no CLI or sweep path
+//!   does.
 
 use crate::buffer::BufferModel;
 use crate::config::EvictionPolicy;

@@ -22,7 +22,7 @@ use crate::config::SparsepipeConfig;
 use crate::engine::Deadline;
 use crate::invariants;
 use crate::plan::PassPlan;
-use crate::stats::TrafficBreakdown;
+use crate::stats::{TrafficBreakdown, TrafficLedger};
 
 /// Workload-derived parameters of one pass.
 #[derive(Debug, Clone, Copy)]
@@ -240,7 +240,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         0.0
     };
 
-    let mut traffic = TrafficBreakdown::default();
+    let mut ledger = TrafficLedger::default();
     let mut steps_out = Vec::with_capacity(plan.steps);
     let mut total_cycles = 0.0f64;
     let mut os_ops = 0.0f64;
@@ -249,11 +249,6 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     let mut sram_bytes = 0.0f64;
     let mut occupancy_sum = 0.0f64;
     let mut prefetch_cursor: usize = 0;
-    // Trace-only address cursors: the CSC image, the CSR image and the
-    // vector windows are read sequentially across steps.
-    let mut ev_csc_addr: u64 = 0;
-    let mut ev_csr_addr: u64 = 1 << 38;
-    let mut ev_vec_addr: u64 = 1 << 36;
 
     for s in 0..plan.steps {
         if s % DEADLINE_CHECK_STEPS == 0 {
@@ -493,65 +488,16 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         // core; vectors stream through the buffer similarly; repacks move
         // resident data (read + write).
         sram_bytes += 2.0 * fetched + 2.0 * vec_b + 2.0 * repack_moved;
+        // Charge in the audit's per-step order: CSC, refetch, CSR eager,
+        // vector read, write-back (DESIGN.md §10.2).
+        let step = s as u32;
+        ledger.charge(sink, TrafficClass::CscDemand, csc_bytes, step);
+        ledger.charge(sink, TrafficClass::Refetch, refetch_bytes, step);
+        ledger.charge(sink, TrafficClass::CsrEager, csr_bytes, step);
         let vec_read_b = vec_b * (1.0 - vec_write_fraction);
+        ledger.charge(sink, TrafficClass::VectorRead, vec_read_b, step);
         let vec_write_b = vec_b * vec_write_fraction;
-        traffic.csc_bytes += csc_bytes;
-        traffic.refetch_bytes += refetch_bytes;
-        traffic.csr_eager_bytes += csr_bytes;
-        traffic.vector_bytes += vec_read_b;
-        traffic.writeback_bytes += vec_write_b;
-        if S::ENABLED {
-            // Per-step aggregate DRAM events: each payload is the exact
-            // `f64` increment just added to `traffic`, emitted in the
-            // same order, so the TraceAudit replay reproduces the pass
-            // totals bitwise (zero increments are skipped — adding 0.0
-            // is an identity). See DESIGN.md §10.
-            let step = s as u32;
-            if csc_bytes > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: ev_csc_addr,
-                    bytes: csc_bytes,
-                    class: TrafficClass::CscDemand,
-                    step,
-                });
-                ev_csc_addr += csc_bytes as u64;
-            }
-            if refetch_bytes > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: 1 << 40,
-                    bytes: refetch_bytes,
-                    class: TrafficClass::Refetch,
-                    step,
-                });
-            }
-            if csr_bytes > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: ev_csr_addr,
-                    bytes: csr_bytes,
-                    class: TrafficClass::CsrEager,
-                    step,
-                });
-                ev_csr_addr += csr_bytes as u64;
-            }
-            if vec_read_b > 0.0 {
-                sink.emit(TraceEvent::DramRead {
-                    addr: ev_vec_addr,
-                    bytes: vec_read_b,
-                    class: TrafficClass::VectorRead,
-                    step,
-                });
-                ev_vec_addr += vec_read_b as u64;
-            }
-            if vec_write_b > 0.0 {
-                sink.emit(TraceEvent::DramWrite {
-                    addr: ev_vec_addr,
-                    bytes: vec_write_b,
-                    class: TrafficClass::Writeback,
-                    step,
-                });
-                ev_vec_addr += vec_write_b as u64;
-            }
-        }
+        ledger.charge(sink, TrafficClass::Writeback, vec_write_b, step);
         os_ops += step_os_ops;
         ew_ops += step_ew_ops;
         is_ops += step_is_ops;
@@ -579,7 +525,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
 
     Ok(PassResult {
         cycles: total_cycles,
-        traffic,
+        traffic: ledger.totals,
         steps: steps_out,
         evictions: buffer.evicted_elements(),
         repacks: buffer.repack_events(),

@@ -44,7 +44,7 @@ use crate::arena::{MatrixArena, RowSet};
 use crate::config::SparsepipeConfig;
 use crate::engine::Deadline;
 use crate::pipeline::{PassResult, StepSample};
-use crate::stats::TrafficBreakdown;
+use crate::stats::TrafficLedger;
 
 /// Accumulator scatter serialization (bank conflicts while draining the
 /// sparse accumulator) — the IS-side analogue of the pipeline's scatter
@@ -318,7 +318,7 @@ impl MxmPlan {
         let riders = params.ewise_matrix_passes;
         let step_floor = (config.memory.read_latency_ns * config.clock_ghz).max(1.0);
 
-        let mut traffic = TrafficBreakdown::default();
+        let mut ledger = TrafficLedger::default();
         let mut steps_out = Vec::with_capacity(self.steps.len());
         let mut total_cycles = 0.0f64;
         let mut os_ops = 0.0f64;
@@ -327,61 +327,18 @@ impl MxmPlan {
         let mut sram_bytes = 0.0f64;
         let mut occupancy_sum = 0.0f64;
         let mut buffer_peak = 0.0f64;
-        // Trace-only address cursors (same address-space convention as the
-        // vxm pipeline: demand stream at 0, refetch at 1<<40, vectors at
-        // 1<<36).
-        let mut ev_demand_addr: u64 = 0;
-        let mut ev_vec_addr: u64 = 1 << 36;
 
         for (s, st) in self.steps.iter().enumerate() {
-            // ---- Traffic accounting (engine-order: demand, refetch, vector
-            // read, write-back — each emitted event carries the exact `f64`
-            // increment added here, so the audit replays bitwise) ----
+            // ---- Traffic accounting, charged in the order demand,
+            // refetch, vector read, write-back ----
             let c_bytes = st.out_entries as f64 * fetch_b;
             let vec_read = share * (st.left_bytes + riders * 2.0 * c_bytes);
             let writeback = share * (c_bytes + riders * c_bytes);
-            traffic.csc_bytes += st.demand;
-            traffic.refetch_bytes += st.refetch;
-            traffic.vector_bytes += vec_read;
-            traffic.writeback_bytes += writeback;
-            if S::ENABLED {
-                let step = s as u32;
-                if st.demand > 0.0 {
-                    sink.emit(TraceEvent::DramRead {
-                        addr: ev_demand_addr,
-                        bytes: st.demand,
-                        class: TrafficClass::CscDemand,
-                        step,
-                    });
-                    ev_demand_addr += st.demand as u64;
-                }
-                if st.refetch > 0.0 {
-                    sink.emit(TraceEvent::DramRead {
-                        addr: 1 << 40,
-                        bytes: st.refetch,
-                        class: TrafficClass::Refetch,
-                        step,
-                    });
-                }
-                if vec_read > 0.0 {
-                    sink.emit(TraceEvent::DramRead {
-                        addr: ev_vec_addr,
-                        bytes: vec_read,
-                        class: TrafficClass::VectorRead,
-                        step,
-                    });
-                    ev_vec_addr += vec_read as u64;
-                }
-                if writeback > 0.0 {
-                    sink.emit(TraceEvent::DramWrite {
-                        addr: ev_vec_addr,
-                        bytes: writeback,
-                        class: TrafficClass::Writeback,
-                        step,
-                    });
-                    ev_vec_addr += writeback as u64;
-                }
-            }
+            let step = s as u32;
+            ledger.charge(sink, TrafficClass::CscDemand, st.demand, step);
+            ledger.charge(sink, TrafficClass::Refetch, st.refetch, step);
+            ledger.charge(sink, TrafficClass::VectorRead, vec_read, step);
+            ledger.charge(sink, TrafficClass::Writeback, writeback, step);
 
             // ---- Stage costs ----
             let step_os_ops = share * st.products as f64 * 2.0;
@@ -408,7 +365,7 @@ impl MxmPlan {
             total_cycles += step_cycles;
             if S::ENABLED {
                 sink.emit(TraceEvent::StepEnd {
-                    step: s as u32,
+                    step,
                     cycles: step_cycles,
                     occupancy_bytes: occupancy,
                 });
@@ -429,7 +386,7 @@ impl MxmPlan {
 
         PassResult {
             cycles: total_cycles,
-            traffic,
+            traffic: ledger.totals,
             steps: steps_out,
             evictions: self.evictions,
             repacks: 0,

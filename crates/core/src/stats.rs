@@ -1,6 +1,7 @@
 //! Simulation reports and traces.
 
 use serde::{Deserialize, Serialize};
+use sparsepipe_trace::{TraceEvent, TraceSink, TrafficClass};
 
 use crate::energy::EnergyBreakdown;
 
@@ -51,6 +52,84 @@ impl TrafficBreakdown {
             refetch_bytes: self.refetch_bytes,
             vector_bytes: self.vector_bytes,
             writeback_bytes: self.writeback_bytes,
+        }
+    }
+}
+
+/// The one place the simulator charges DRAM traffic: every byte the
+/// pipeline, the mxm replay and the closed-form sweeps move goes through
+/// [`TrafficLedger::charge`], which adds it to `totals` and emits the same
+/// `f64` as one `DramRead`/`DramWrite`, so a [`sparsepipe_trace::TraceAudit`]
+/// replay of the events reproduces `totals` bitwise (DESIGN.md §10.2).
+///
+/// Events carry stream-cursor addresses: the CSC image from 0, the CSR
+/// image from 2³⁸, the vector windows from 2³⁶ (shared by reads and
+/// write-backs), and refetches at the fixed address 2⁴⁰.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TrafficLedger {
+    /// Bytes charged so far, by category.
+    pub totals: TrafficBreakdown,
+    csc_addr: u64,
+    csr_addr: u64,
+    vec_addr: u64,
+}
+
+impl Default for TrafficLedger {
+    fn default() -> Self {
+        TrafficLedger {
+            totals: TrafficBreakdown::default(),
+            csc_addr: 0,
+            csr_addr: 1 << 38,
+            vec_addr: 1 << 36,
+        }
+    }
+}
+
+impl TrafficLedger {
+    /// Address every refetch event carries.
+    const REFETCH_ADDR: u64 = 1 << 40;
+
+    /// Adds `bytes` to the `class` total and, when `S` is enabled and
+    /// `bytes > 0.0`, emits them as one DRAM event at `step`. Zero
+    /// charges are still added (an identity), so traced and untraced
+    /// runs perform the same arithmetic.
+    pub fn charge<S: TraceSink>(
+        &mut self,
+        sink: &mut S,
+        class: TrafficClass,
+        bytes: f64,
+        step: u32,
+    ) {
+        let t = &mut self.totals;
+        let (total, cursor) = match class {
+            TrafficClass::CscDemand => (&mut t.csc_bytes, Some(&mut self.csc_addr)),
+            TrafficClass::CsrEager => (&mut t.csr_eager_bytes, Some(&mut self.csr_addr)),
+            TrafficClass::Refetch => (&mut t.refetch_bytes, None),
+            TrafficClass::VectorRead => (&mut t.vector_bytes, Some(&mut self.vec_addr)),
+            TrafficClass::Writeback => (&mut t.writeback_bytes, Some(&mut self.vec_addr)),
+        };
+        *total += bytes;
+        if S::ENABLED && bytes > 0.0 {
+            let addr = cursor.map_or(Self::REFETCH_ADDR, |c| {
+                let at = *c;
+                *c += bytes as u64;
+                at
+            });
+            sink.emit(if class == TrafficClass::Writeback {
+                TraceEvent::DramWrite {
+                    addr,
+                    bytes,
+                    class,
+                    step,
+                }
+            } else {
+                TraceEvent::DramRead {
+                    addr,
+                    bytes,
+                    class,
+                    step,
+                }
+            });
         }
     }
 }
@@ -193,6 +272,74 @@ mod tests {
         assert_eq!(a.vector_bytes.to_bits(), t.vector_bytes.to_bits());
         assert_eq!(a.writeback_bytes.to_bits(), t.writeback_bytes.to_bits());
         assert_eq!(a.total_bytes(), t.total_bytes());
+    }
+
+    #[test]
+    fn ledger_emits_one_event_per_nonzero_charge_at_cursor_addresses() {
+        use sparsepipe_trace::{MemorySink, NullSink, TraceAudit};
+        use TrafficClass::*;
+        let charges = [
+            (CscDemand, 100.5, 0),
+            (Refetch, 10.0, 0),
+            (CsrEager, 0.0, 0),
+            (CsrEager, 50.25, 0),
+            (VectorRead, 20.0, 0),
+            (Writeback, 5.0, 0),
+            (CscDemand, 0.0, 1),
+            (CscDemand, 30.0, 1),
+            (Refetch, 7.5, 1),
+            (VectorRead, 0.0, 1),
+            (Writeback, 3.0, 1),
+            (VectorRead, 8.0, 1),
+            (Writeback, 0.0, 1),
+        ];
+        let mut sink = MemorySink::new();
+        let mut traced = TrafficLedger::default();
+        let mut untraced = TrafficLedger::default();
+        for (class, bytes, step) in charges {
+            traced.charge(&mut sink, class, bytes, step);
+            untraced.charge(&mut NullSink, class, bytes, step);
+        }
+        let read = |addr, bytes, class, step| TraceEvent::DramRead {
+            addr,
+            bytes,
+            class,
+            step,
+        };
+        let vec = 1u64 << 36;
+        assert_eq!(
+            sink.events(),
+            [
+                read(0, 100.5, CscDemand, 0),
+                read(1 << 40, 10.0, Refetch, 0),
+                read(1 << 38, 50.25, CsrEager, 0),
+                read(vec, 20.0, VectorRead, 0),
+                TraceEvent::DramWrite {
+                    addr: vec + 20,
+                    bytes: 5.0,
+                    class: Writeback,
+                    step: 0,
+                },
+                read(100, 30.0, CscDemand, 1),
+                read(1 << 40, 7.5, Refetch, 1),
+                TraceEvent::DramWrite {
+                    addr: vec + 25,
+                    bytes: 3.0,
+                    class: Writeback,
+                    step: 1,
+                },
+                read(vec + 28, 8.0, VectorRead, 1),
+            ]
+        );
+        assert_eq!(traced.totals, untraced.totals, "tracing adds the same f64s");
+        let t = traced.totals;
+        assert_eq!(t.total_bytes(), 234.25);
+        let replayed = TraceAudit::replay(sink.events());
+        replayed.check(&t.audit_totals()).unwrap();
+        assert_eq!(
+            replayed.replayed.total_bytes().to_bits(),
+            t.total_bytes().to_bits()
+        );
     }
 
     #[test]

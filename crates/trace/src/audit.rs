@@ -150,7 +150,7 @@ impl TraceAudit {
         let mut replayed = AuditTotals::default();
         for p in &passes {
             // `repeats as f64` and the multiply-then-add below mirror the
-            // engine's `accumulate_pass` exactly; `× 1.0` is a bitwise
+            // engine's `RunTotals::fold` exactly; `× 1.0` is a bitwise
             // no-op for finite values, so unscaled passes survive intact.
             replayed.add_scaled(&p.traffic, p.repeats as f64);
         }
