@@ -22,8 +22,11 @@ pub struct CpuModel {
     /// shared with vectors and suffers conflict misses).
     pub cache_efficiency: f64,
     /// Achieved fraction of measured bandwidth on regular streaming.
+    /// A calibration input, not derived from a memory model (0.80 by
+    /// default).
     pub stream_utilization: f64,
-    /// Achieved fraction on irregular (gather/scatter) access.
+    /// Achieved fraction on irregular (gather/scatter) access. A
+    /// calibration input like `stream_utilization` (0.55 by default).
     pub gather_utilization: f64,
     /// Sustained sparse-kernel compute throughput in Gflop/s (8 Zen-3
     /// cores on indirection-heavy code sustain a small fraction of peak).

@@ -20,8 +20,11 @@ pub struct GpuModel {
     /// L2 cache capacity (RTX 4070: 36 MB).
     pub l2_bytes: f64,
     /// Achieved bandwidth fraction on well-occupied streaming kernels.
+    /// A calibration input, not derived from a memory model (0.78 by
+    /// default).
     pub stream_utilization: f64,
-    /// Achieved fraction on irregular sparse kernels.
+    /// Achieved fraction on irregular sparse kernels. A calibration
+    /// input like `stream_utilization` (0.52 by default).
     pub gather_utilization: f64,
     /// Non-zeros needed to fully occupy the machine; smaller inputs scale
     /// utilization down (kernel tail effects, low occupancy).

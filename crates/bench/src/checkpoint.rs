@@ -34,7 +34,7 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// FNV-1a 64-bit digest of a string — the journal's integrity check.
 /// Not cryptographic; it guards against truncation, bit rot, and decoder
 /// drift, not adversaries.
-pub fn digest64(text: &str) -> u64 {
+fn digest64(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.as_bytes() {
         h ^= u64::from(*b);
@@ -45,7 +45,7 @@ pub fn digest64(text: &str) -> u64 {
 
 /// Digest of a sweep's [`DataContext`] — ties a journal to the exact
 /// (scale, set, source) it was recorded under.
-pub fn context_digest(context: &DataContext) -> Result<u64, BenchError> {
+fn context_digest(context: &DataContext) -> Result<u64, BenchError> {
     let text = serde_json::to_string(context).map_err(|e| BenchError::Json(e.to_string()))?;
     Ok(digest64(&text))
 }

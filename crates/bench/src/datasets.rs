@@ -401,24 +401,15 @@ impl MatrixSet {
     }
 }
 
-/// Generates a set of synthetic datasets in parallel (machine-wide pool).
-pub fn load_all(set: MatrixSet, scale: u64) -> Vec<ScaledDataset> {
-    Executor::new(0).run(set.ids(), |&id| {
-        DatasetSpec::new(id, scale)
-            .load()
-            .expect("synthetic loads are infallible")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_set_loads() {
-        let ds = load_all(MatrixSet::Quick, 256);
-        assert_eq!(ds.len(), 3);
-        for d in &ds {
+        assert_eq!(MatrixSet::Quick.ids().len(), 3);
+        for &id in MatrixSet::Quick.ids() {
+            let d = DatasetSpec::new(id, 256).load().unwrap();
             assert_eq!(d.matrix.nnz(), d.reordered.nnz());
             assert!(d.buffer_bytes() > 0);
         }

@@ -115,7 +115,7 @@ impl FaultInjector {
     /// # Errors
     ///
     /// Returns a human-readable message for malformed specs.
-    pub fn add_spec(&mut self, spec: &str) -> Result<(), String> {
+    fn add_spec(&mut self, spec: &str) -> Result<(), String> {
         let (kind_s, rest) = spec
             .split_once('@')
             .ok_or_else(|| format!("`{spec}`: expected <kind>@<app>-<matrix>[:<attempts>]"))?;

@@ -84,8 +84,8 @@ pub struct Evaluation {
     pub entry: Entry,
     /// Combined telemetry of the iso-GPU and iso-CPU simulations.
     pub telemetry: SimTelemetry,
-    /// Scheduling diagnostics from the iso-GPU run.
-    pub diagnostics: Vec<String>,
+    /// The pass schedule of the iso-GPU run.
+    pub schedule: sparsepipe_core::Schedule,
     /// SpGEMM statistics from the iso-GPU run (`None` for vxm-only
     /// apps). Carried here — not on [`Entry`] — so the checkpoint
     /// journal's entry schema stays bitwise-stable.
@@ -459,7 +459,7 @@ fn evaluate_with_sink<S: TraceSink>(
                 .peak_working_set_bytes
                 .max(iso_cpu.telemetry.peak_working_set_bytes),
         },
-        diagnostics: outcome.diagnostics,
+        schedule: outcome.schedule,
         mxm: outcome.mxm,
     })
 }
@@ -911,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_carries_telemetry_and_diagnostics() {
+    fn evaluation_carries_telemetry_and_schedule() {
         let dataset = crate::datasets::DatasetSpec::new(MatrixId::Ca, 512)
             .load()
             .unwrap();
@@ -922,7 +922,7 @@ mod tests {
             .evaluation;
         assert!(ev.telemetry.sim_steps > 0);
         assert!(ev.telemetry.modeled_passes > 0);
-        assert!(!ev.diagnostics.is_empty());
+        assert!(!ev.schedule.passes.is_empty());
     }
 
     #[test]

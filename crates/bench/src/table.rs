@@ -31,11 +31,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -95,7 +90,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("a"));
         assert!(lines[2].starts_with("xxx"));
-        assert_eq!(t.n_rows(), 2);
     }
 
     #[test]

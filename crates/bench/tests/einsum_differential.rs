@@ -235,7 +235,7 @@ fn engine_kernels_match_the_interpreter_bitwise() {
 /// Runs the registry app and its compiled-expression twin through the
 /// full evaluation pipeline and demands byte-identical results on every
 /// deterministic field.
-fn assert_outcomes_match(name: &str, check_diagnostics: bool) {
+fn assert_outcomes_match(name: &str, check_schedule: bool) {
     let entries = einsum_corpus::bundled();
     let entry = entries
         .iter()
@@ -261,10 +261,10 @@ fn assert_outcomes_match(name: &str, check_diagnostics: bool) {
     let hand_json = serde_json::to_string(&hand.evaluation.entry).expect("serialize");
     let front_json = serde_json::to_string(&front.evaluation.entry).expect("serialize");
     assert_eq!(hand_json, front_json, "{name}: serialized entries differ");
-    if check_diagnostics {
+    if check_schedule {
         assert_eq!(
-            hand.evaluation.diagnostics, front.evaluation.diagnostics,
-            "{name}: scheduling diagnostics differ"
+            hand.evaluation.schedule, front.evaluation.schedule,
+            "{name}: schedules differ"
         );
     }
     assert_eq!(

@@ -65,8 +65,8 @@ fn slab_datasets_reproduce_synthetic_outcomes_bitwise() {
             app.name
         );
         assert_eq!(
-            a.evaluation.diagnostics, b.evaluation.diagnostics,
-            "{}: diagnostics",
+            a.evaluation.schedule, b.evaluation.schedule,
+            "{}: schedule",
             app.name
         );
         assert_eq!(

@@ -118,11 +118,6 @@ impl BufferModel {
         self.state[e as usize] & (LOADED | EVICTED) == 0
     }
 
-    /// Has the OS core consumed this element?
-    pub fn os_done(&self, e: u32) -> bool {
-        self.state[e as usize] & OS_DONE != 0
-    }
-
     /// Has the IS core consumed this element?
     pub fn is_done(&self, e: u32) -> bool {
         self.state[e as usize] & IS_DONE != 0
@@ -255,18 +250,6 @@ impl BufferModel {
         self.fragmented_bytes = 0.0;
         self.repack_events += 1;
         moved
-    }
-
-    /// Resets consumption/residency for a new pass (states and counters of
-    /// evictions persist as run totals).
-    pub fn reset_pass(&mut self) {
-        for s in &mut self.state {
-            *s = 0;
-        }
-        self.resident.clear();
-        self.load_order.clear();
-        self.resident_bytes = 0.0;
-        self.fragmented_bytes = 0.0;
     }
 
     /// Total elements evicted so far.
@@ -417,19 +400,5 @@ mod tests {
         b.enforce_capacity(0.0);
         assert!(b.is_evicted(3), "first-loaded evicted first");
         assert!(b.is_resident(0));
-    }
-
-    #[test]
-    fn reset_pass_clears_residency_keeps_totals() {
-        let mut b = model(3, 15.0);
-        b.load(0);
-        b.load(1);
-        b.enforce_capacity(0.0);
-        let ev = b.evicted_elements();
-        assert!(ev > 0);
-        b.reset_pass();
-        assert!(b.is_unloaded(0) && b.is_unloaded(1));
-        assert_eq!(b.occupancy_bytes(), 0.0);
-        assert_eq!(b.evicted_elements(), ev);
     }
 }

@@ -44,6 +44,7 @@ use sparsepipe_trace::{NullSink, TraceSink};
 
 use crate::config::SparsepipeConfig;
 use crate::engine;
+use crate::schedule::Schedule;
 use crate::stats::SimReport;
 use crate::CoreError;
 
@@ -66,17 +67,17 @@ pub struct SimTelemetry {
 }
 
 /// The typed result of one simulation: the architectural report plus
-/// host-side telemetry and human-readable diagnostics about which
-/// scheduling path the run took.
+/// host-side telemetry and the pass schedule the run took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// The architectural simulation report (cycles, traffic, energy).
     pub report: SimReport,
     /// Host-side run telemetry (wall-clock, event counts).
     pub telemetry: SimTelemetry,
-    /// Notes on the scheduling decisions the engine made (OEI class,
-    /// preprocessing applied, unfused tails).
-    pub diagnostics: Vec<String>,
+    /// The scheduling decisions the engine made (OEI class, preprocessing
+    /// applied, passes and their repeats); [`Schedule::notes`] renders
+    /// them as text.
+    pub schedule: Schedule,
     /// SpGEMM statistics (intermediate nnz, accumulator peak, expansion
     /// factor) when the schedule ran the Gustavson mxm stage; `None` for
     /// vxm-only programs, so existing consumers are unaffected.
@@ -132,16 +133,6 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
     pub fn config(mut self, config: SparsepipeConfig) -> Self {
         self.config = config;
         self
-    }
-
-    /// The configuration this request will run with.
-    pub fn config_ref(&self) -> &SparsepipeConfig {
-        &self.config
-    }
-
-    /// The iteration count this request will run with.
-    pub fn iteration_count(&self) -> usize {
-        self.iterations
     }
 
     /// Attaches a shared [`MatrixCache`](crate::MatrixCache): the engine
@@ -215,7 +206,7 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
                 (&private, 0)
             }
         };
-        let run = engine::simulate_inner(
+        let mut outcome = engine::simulate_inner(
             self.program,
             self.matrix,
             self.iterations,
@@ -224,18 +215,8 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
             cache,
             deadline.as_ref(),
         )?;
-        let wall_s = start.elapsed().as_secs_f64();
-        Ok(SimOutcome {
-            telemetry: SimTelemetry {
-                wall_s,
-                sim_steps: run.sim_steps,
-                modeled_passes: run.modeled_passes,
-                peak_working_set_bytes: run.peak_working_set_bytes,
-            },
-            report: run.report,
-            diagnostics: run.diagnostics,
-            mxm: run.mxm,
-        })
+        outcome.telemetry.wall_s = start.elapsed().as_secs_f64();
+        Ok(outcome)
     }
 }
 
@@ -261,10 +242,15 @@ mod tests {
     fn builder_defaults() {
         let program = pagerank_program();
         let m = gen::uniform(100, 100, 600, 3);
-        let req = SimRequest::new(&program, &m);
-        assert_eq!(req.iteration_count(), 1);
-        assert_eq!(*req.config_ref(), SparsepipeConfig::iso_gpu());
-        assert!(!req.config_ref().validate);
+        let default = SimRequest::new(&program, &m).run().unwrap();
+        assert_eq!(default.report.iterations, 1);
+        let explicit = SimRequest::new(&program, &m)
+            .iterations(1)
+            .config(SparsepipeConfig::iso_gpu())
+            .run()
+            .unwrap();
+        assert_eq!(default.report, explicit.report);
+        assert_eq!(default.schedule, explicit.schedule);
     }
 
     #[test]
@@ -272,12 +258,21 @@ mod tests {
         let program = pagerank_program();
         let m = gen::uniform(100, 100, 600, 3);
         let cfg = SparsepipeConfig::iso_cpu().with_buffer(1 << 16);
-        let req = SimRequest::new(&program, &m)
+        let validated = SimRequest::new(&program, &m)
             .iterations(7)
-            .config(cfg.with_validation(true));
-        assert_eq!(req.iteration_count(), 7);
-        assert_eq!(req.config_ref().buffer_bytes, 1 << 16);
-        assert!(req.config_ref().validate);
+            .config(cfg.with_validation(true))
+            .run()
+            .unwrap();
+        assert_eq!(validated.report.iterations, 7);
+        let reordered = SimRequest::new(&program, &m)
+            .config(cfg)
+            .iterations(7)
+            .run()
+            .unwrap();
+        assert_eq!(
+            validated.report, reordered.report,
+            "setter order and the shadow checker leave the report unchanged"
+        );
     }
 
     #[test]
@@ -299,10 +294,12 @@ mod tests {
             "10 iters → ≥5 sweeps"
         );
         assert!(outcome.telemetry.peak_working_set_bytes > 0.0);
-        assert!(
-            !outcome.diagnostics.is_empty(),
-            "engine should narrate its scheduling path"
+        assert_eq!(
+            outcome.schedule.passes.len(),
+            1,
+            "10 iters → one fused pass"
         );
+        assert_eq!(outcome.schedule.passes[0].repeats, 5);
     }
 
     #[test]

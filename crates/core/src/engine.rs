@@ -9,8 +9,9 @@ use crate::config::{ReorderKind, SparsepipeConfig};
 use crate::energy::EnergyTally;
 use crate::pipeline::{PassParams, PassResult};
 use crate::plan::PassPlan;
+use crate::schedule::{PassKind, Schedule};
 use crate::stats::{BwSample, SimReport, TrafficBreakdown, TrafficLedger};
-use crate::CoreError;
+use crate::{CoreError, SimOutcome, SimTelemetry};
 
 /// A resolved wall-clock deadline for one simulation run, carried through
 /// the engine so cooperative checks can name the original budget in the
@@ -43,37 +44,13 @@ fn check_deadline(deadline: Option<&Deadline>) -> Result<(), CoreError> {
     deadline.map_or(Ok(()), Deadline::check)
 }
 
-/// Everything one engine run produces: the report plus the host-side
-/// counters [`crate::SimRequest::run`] folds into [`crate::SimTelemetry`].
-pub(crate) struct EngineRun {
-    pub report: SimReport,
-    /// Pipeline steps actually executed (analytically scaled passes count
-    /// their steps once; closed-form sweeps count 1 each).
-    pub sim_steps: u64,
-    /// Matrix sweeps the run models, including scaled repetitions.
-    pub modeled_passes: u64,
-    /// Peak modeled working set (buffer occupancy + dense vector window).
-    pub peak_working_set_bytes: f64,
-    /// Scheduling-path notes surfaced through [`crate::SimOutcome`].
-    pub diagnostics: Vec<String>,
-    /// SpGEMM statistics when the program's schedule ran the Gustavson
-    /// mxm stage (`None` for vxm-only programs).
-    pub mxm: Option<crate::spgemm::MxmStats>,
-}
-
 /// The engine proper, behind the [`crate::SimRequest`] driver — the sole
-/// compile-and-simulate entry. Generic over the trace sink; the default
-/// [`NullSink`] instantiation is the untraced engine.
+/// compile-and-simulate entry, which fills in the outcome's wall clock.
+/// Generic over the trace sink; the default [`NullSink`] instantiation is
+/// the untraced engine.
 ///
-/// Scheduling follows the program's OEI analysis:
-///
-/// * **cross-iteration OEI** (PageRank-class): each matrix sweep (pass)
-///   advances *two* iterations — the OS `vxm` of iteration `i` and the IS
-///   `vxm` of iteration `i+1` share one fetch of every matrix element;
-/// * **within-iteration OEI** (KNN-class): the two `vxm`s of one iteration
-///   share one sweep;
-/// * **no OEI** (CG-class): every iteration re-streams the matrix; only
-///   producer-consumer (e-wise fusion) reuse applies.
+/// The passes are the program's [`Schedule`], which follows its OEI
+/// class ([`OeiClass`](crate::schedule::OeiClass)).
 ///
 /// Every derived artifact — the reordered matrix, the arena, the pass
 /// plan — comes from `cache` (a [`MatrixCache`](crate::MatrixCache) plus
@@ -88,7 +65,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     sink: &mut S,
     (cache, key): (&crate::MatrixCache, u64),
     deadline: Option<&Deadline>,
-) -> Result<EngineRun, CoreError> {
+) -> Result<SimOutcome, CoreError> {
     if matrix.nrows() != matrix.ncols() {
         return Err(CoreError::NonSquareMatrix {
             nrows: matrix.nrows(),
@@ -100,20 +77,14 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     }
     check_deadline(deadline)?;
 
-    let mut diagnostics: Vec<String> = Vec::new();
+    let schedule = Schedule::new(&program.profile, iterations, config.preprocessing.reorder);
 
     // ---- Offline preprocessing (§IV-E; not part of the timed run) ----
-    let reorder_kind = config.preprocessing.reorder;
+    let reorder_kind = schedule.reorder;
     let reordered;
     let matrix = if reorder_kind == ReorderKind::None {
         matrix
     } else {
-        diagnostics.push(match reorder_kind {
-            ReorderKind::GraphOrder => {
-                "offline preprocessing: GraphOrder reordering applied".into()
-            }
-            _ => "offline preprocessing: vanilla triangular reordering applied".into(),
-        });
         reordered = cache.reordered(key, reorder_kind, || {
             let perm = match reorder_kind {
                 ReorderKind::GraphOrder => reorder::graph_order(&matrix.to_csr(), 64),
@@ -132,174 +103,129 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     let fetch_b = config.fetch_bytes_per_element();
     let n = matrix.nrows() as f64;
     let nnz = matrix.nnz() as f64;
+    let pes = config.pes_per_core as f64;
+    let ewise_elem = ewise_arith + profile.dense_flops_per_element;
+    let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
 
     let mut run = RunTotals {
         bpc,
         ..RunTotals::default()
     };
-    let mut mxm_stats: Option<crate::spgemm::MxmStats> = None;
 
-    if profile.mxm_passes > 0 {
-        // ---- SpGEMM (mxm) family: Gustavson row-wise sweeps over the
-        // stationary operand (DESIGN.md §15). Cross-iteration OEI across
-        // an mxm loop fuses two iterations onto one sweep of the
-        // stationary rows, exactly like the vxm schedule below; without
-        // it every iteration re-demands them. ----
-        let (full_units, remainder_iters, share) = if profile.cross_iteration {
-            diagnostics.push(format!(
-                "cross-iteration OEI across mxm: {} fused unit(s), each covering 2 iterations",
-                iterations / 2
-            ));
-            (iterations / 2, iterations % 2, 2.0)
-        } else {
-            diagnostics.push(format!(
-                "mxm family without cross-iteration reuse: {iterations} row-wise sweep(s) per mxm pass"
-            ));
-            (iterations, 0, 1.0)
-        };
-        if remainder_iters > 0 {
-            diagnostics
-                .push("odd iteration count: trailing iteration's mxm sweep runs unfused".into());
-        }
+    // ---- SpGEMM (mxm) family (DESIGN.md §15): one Gustavson plan serves
+    // the fused units and the unfused tail, each pass replaying its counts.
+    let t = config.subtensor_auto(matrix.ncols(), matrix.nnz());
+    let mxm_plan = if schedule.mxm {
         let arena =
             &*cache.reordered_arena(key, reorder_kind, || crate::MatrixArena::from_coo(matrix));
         check_deadline(deadline)?;
-        let t_rows = config.subtensor_auto(matrix.ncols(), matrix.nnz());
-        let steps = crate::spgemm::step_count(arena.n(), t_rows) as u32;
-
-        // One plan serves the fused units and the unfused tail: the
-        // kernel runs once and each schedule replays its counts.
-        let plan = crate::spgemm::MxmPlan::build_until(
-            arena,
-            program.os_semiring,
-            config,
-            t_rows,
-            deadline,
-        )?;
-        mxm_stats = Some(plan.stats());
-        for (units, fused_iterations) in [(full_units, share), (remainder_iters, 1.0)] {
-            if units == 0 {
-                continue;
-            }
-            let repeats = (units * profile.mxm_passes) as u64;
-            run.open(sink, repeats, steps);
-            let params = crate::spgemm::MxmParams {
-                fused_iterations,
-                ewise_matrix_passes: profile.ewise_matrix_passes as f64,
-                t_rows,
-            };
-            run.fold(&plan.replay(config, &params, sink), repeats, 0.0);
-        }
-    } else if profile.has_oei {
-        let (full_passes, remainder_iters, ewise_iterations) = if profile.cross_iteration {
-            diagnostics.push(format!(
-                "cross-iteration OEI: {} fused pass(es), each covering 2 iterations",
-                iterations / 2
-            ));
-            (iterations / 2, iterations % 2, 2.0)
-        } else {
-            // within-iteration fusion (e.g. KNN's two vxm): one pass per
-            // iteration, both matrix operators on one sweep
-            diagnostics.push(format!(
-                "within-iteration OEI: {iterations} pass(es), both matrix operators on one sweep"
-            ));
-            (iterations, 0, 1.0)
-        };
-
-        if full_passes > 0 {
-            let t = config.subtensor_auto(matrix.ncols(), matrix.nnz());
-            let plan = &*cache.plan(key, reorder_kind, t, || PassPlan::build(matrix, t));
-            check_deadline(deadline)?;
-            let params = PassParams {
-                feature,
-                ewise_arith_per_elem: ewise_arith + profile.dense_flops_per_element,
-                ewise_iterations,
-                dense_flops_per_element: 0.0,
-                // Each pass streams the fused live-in vectors once (the
-                // second fused iteration's carried operands are *produced
-                // on chip* by the first — that is the producer-consumer
-                // reuse), plus the inter-pass result round-trip (written
-                // back as computed, re-read as the next pass's OS input).
-                // The fused counts are feature-scaled already; the
-                // round-trip is one n×f activation.
-                vec_read_passes: profile.fused_vector_reads + feature,
-                vec_write_passes: profile.fused_vector_writes + feature,
-            };
-            let repeats = full_passes as u64;
-            run.open(sink, repeats, plan.steps as u32);
-            let pass = crate::pipeline::execute_pass_traced(plan, config, &params, sink, deadline)?;
-            run.fold(&pass, repeats, n * 8.0 * feature);
-        }
-
-        if remainder_iters > 0 {
-            diagnostics
-                .push("odd iteration count: trailing iteration runs unfused at roofline".into());
-            // A trailing single iteration with no partner to fuse with:
-            // one OS-only sweep at roofline.
-            let mbytes = nnz * fetch_b * profile.matrix_passes as f64;
-            let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
-            let compute = (nnz * 2.0 * feature) / (2.0 * config.pes_per_core as f64)
-                + n * feature * (ewise_arith + profile.dense_flops_per_element)
-                    / config.pes_per_core as f64;
-            run.open(sink, 1, 1);
-            let pass = closed_form_pass(
-                sink,
-                ((mbytes + vbytes) / bpc).max(compute),
-                [mbytes, vbytes * 0.6, vbytes * 0.4],
-                2.0 * (mbytes + vbytes),
-                nnz * 2.0 * feature + n * feature * ewise_arith,
-            );
-            run.fold(&pass, 1, 0.0);
-        }
+        let steps = crate::spgemm::step_count(arena.n(), t) as u32;
+        let plan =
+            crate::spgemm::MxmPlan::build_until(arena, program.os_semiring, config, t, deadline)?;
+        Some((plan, steps))
     } else {
-        // ---- No OEI: sequential operator passes with producer-consumer
-        // fusion only (CG/BiCGSTAB class). The matrix is streamed once per
-        // matrix operator per iteration in a single (row- or column-)
-        // order — no dual storage needed. ----
-        diagnostics.push(format!(
-            "no OEI: {iterations} sequential iteration(s), producer-consumer fusion only"
-        ));
-        let mbytes = profile.matrix_passes as f64 * nnz * fetch_b;
-        let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
-        let pes = config.pes_per_core as f64;
-        let matrix_compute = profile.matrix_passes as f64 * nnz * 2.0 * feature / (2.0 * pes);
-        let ewise_compute = n * feature * (ewise_arith + profile.dense_flops_per_element) / pes;
-        // Running a non-OEI schedule on the OEI pipeline still pays the
-        // sub-tensor dispatch / synchronization overhead between stages —
-        // this is why cg/bgs land at or slightly below the ideal
-        // accelerator in Fig 14 (0.75x–1.20x in the paper).
-        const DISPATCH_OVERHEAD: f64 = 1.12;
-        let per_iter_cycles =
-            ((mbytes + vbytes) / bpc).max(matrix_compute + ewise_compute) * DISPATCH_OVERHEAD;
-        let reads = profile.fused_vector_reads
-            / (profile.fused_vector_reads + profile.fused_vector_writes).max(1e-9);
-        // One closed-form pass carrying the full totals — never
-        // per-iteration values × iterations: f64 multiplication does not
-        // re-associate across that split, and the audit compares bits.
-        let csc_total = mbytes * iterations as f64;
-        let vec_total_read = vbytes * iterations as f64 * reads;
-        let vec_total_write = vbytes * iterations as f64 * (1.0 - reads);
-        run.open(sink, 1, 1);
-        let pass = closed_form_pass(
-            sink,
-            per_iter_cycles * iterations as f64,
-            [csc_total, vec_total_read, vec_total_write],
-            2.0 * (csc_total + vec_total_read + vec_total_write),
-            iterations as f64
-                * (profile.matrix_passes as f64 * nnz * 2.0 * feature + n * feature * ewise_arith),
-        );
-        run.fold(&pass, 1, 2.0 * n * 8.0 * feature);
-        run.sim_steps = iterations as u64;
-        run.modeled_passes = (iterations * profile.matrix_passes) as u64;
-        run.bw_trace = vec![
-            BwSample {
-                utilization: ((mbytes + vbytes) / bpc / per_iter_cycles).min(1.0),
-                csc_frac: (mbytes / bpc / per_iter_cycles).min(1.0),
-                csr_frac: 0.0,
-                vector_frac: (vbytes / bpc / per_iter_cycles).min(1.0),
-            };
-            25
-        ];
+        None
+    };
+
+    for pass in &schedule.passes {
+        match pass.kind {
+            PassKind::Mxm => {
+                let (plan, steps) = mxm_plan.as_ref().expect("mxm passes need the plan");
+                run.open(sink, pass.repeats, *steps);
+                let params = crate::spgemm::MxmParams {
+                    fused_iterations: pass.share,
+                    ewise_matrix_passes: profile.ewise_matrix_passes as f64,
+                    t_rows: t,
+                };
+                run.fold(&plan.replay(config, &params, sink), pass.repeats, 0.0);
+            }
+            PassKind::Fused => {
+                let plan = &*cache.plan(key, reorder_kind, t, || PassPlan::build(matrix, t));
+                check_deadline(deadline)?;
+                let params = PassParams {
+                    feature,
+                    ewise_arith_per_elem: ewise_elem,
+                    ewise_iterations: pass.share,
+                    dense_flops_per_element: 0.0,
+                    // Each pass streams the fused live-in vectors once (the
+                    // second fused iteration's carried operands are *produced
+                    // on chip* by the first — that is the producer-consumer
+                    // reuse), plus the inter-pass result round-trip (written
+                    // back as computed, re-read as the next pass's OS input).
+                    // The fused counts are feature-scaled already; the
+                    // round-trip is one n×f activation.
+                    vec_read_passes: profile.fused_vector_reads + feature,
+                    vec_write_passes: profile.fused_vector_writes + feature,
+                };
+                run.open(sink, pass.repeats, plan.steps as u32);
+                let result =
+                    crate::pipeline::execute_pass_traced(plan, config, &params, sink, deadline)?;
+                run.fold(&result, pass.repeats, n * 8.0 * feature);
+            }
+            PassKind::UnfusedTail => {
+                // A trailing single iteration with no partner to fuse with:
+                // one OS-only sweep at roofline.
+                let mbytes = nnz * fetch_b * profile.matrix_passes as f64;
+                let compute = (nnz * 2.0 * feature) / (2.0 * pes) + n * feature * ewise_elem / pes;
+                run.open(sink, pass.repeats, 1);
+                let result = closed_form_pass(
+                    sink,
+                    ((mbytes + vbytes) / bpc).max(compute),
+                    [mbytes, vbytes * 0.6, vbytes * 0.4],
+                    2.0 * (mbytes + vbytes),
+                    nnz * 2.0 * feature + n * feature * ewise_arith,
+                );
+                run.fold(&result, pass.repeats, 0.0);
+            }
+            PassKind::ClosedForm => {
+                // ---- No OEI: sequential operator passes with producer-
+                // consumer fusion only (CG/BiCGSTAB class). The matrix is
+                // streamed once per matrix operator per iteration in a
+                // single (row- or column-) order — no dual storage needed.
+                let mbytes = profile.matrix_passes as f64 * nnz * fetch_b;
+                let matrix_compute =
+                    profile.matrix_passes as f64 * nnz * 2.0 * feature / (2.0 * pes);
+                let ewise_compute = n * feature * ewise_elem / pes;
+                // Running a non-OEI schedule on the OEI pipeline still pays
+                // the sub-tensor dispatch / synchronization overhead between
+                // stages — this is why cg/bgs land at or slightly below the
+                // ideal accelerator in Fig 14 (0.75x–1.20x in the paper).
+                const DISPATCH_OVERHEAD: f64 = 1.12;
+                let per_iter_cycles = ((mbytes + vbytes) / bpc).max(matrix_compute + ewise_compute)
+                    * DISPATCH_OVERHEAD;
+                let reads = profile.fused_vector_reads
+                    / (profile.fused_vector_reads + profile.fused_vector_writes).max(1e-9);
+                // The pass's share is the whole run: full totals, never
+                // per-iteration values × iterations (f64 multiplication does
+                // not re-associate across that split; the audit compares bits).
+                let iters = pass.share;
+                let csc_total = mbytes * iters;
+                let vec_total_read = vbytes * iters * reads;
+                let vec_total_write = vbytes * iters * (1.0 - reads);
+                run.open(sink, pass.repeats, 1);
+                let result = closed_form_pass(
+                    sink,
+                    per_iter_cycles * iters,
+                    [csc_total, vec_total_read, vec_total_write],
+                    2.0 * (csc_total + vec_total_read + vec_total_write),
+                    iters
+                        * (profile.matrix_passes as f64 * nnz * 2.0 * feature
+                            + n * feature * ewise_arith),
+                );
+                run.fold(&result, pass.repeats, 2.0 * n * 8.0 * feature);
+                run.sim_steps = iterations as u64;
+                run.modeled_passes = (iterations * profile.matrix_passes) as u64;
+                run.bw_trace = vec![
+                    BwSample {
+                        utilization: ((mbytes + vbytes) / bpc / per_iter_cycles).min(1.0),
+                        csc_frac: (mbytes / bpc / per_iter_cycles).min(1.0),
+                        csr_frac: 0.0,
+                        vector_frac: (vbytes / bpc / per_iter_cycles).min(1.0),
+                    };
+                    25
+                ];
+            }
+        }
     }
 
     let traffic = run.traffic;
@@ -309,7 +235,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     let matrix_read_bytes = traffic.csc_bytes + traffic.csr_eager_bytes + traffic.refetch_bytes;
     let runtime_s = total_cycles / (config.clock_ghz * 1e9);
 
-    Ok(EngineRun {
+    Ok(SimOutcome {
         report: SimReport {
             total_cycles: total_cycles.ceil() as u64,
             runtime_s,
@@ -331,11 +257,14 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             },
             iterations,
         },
-        sim_steps: run.sim_steps,
-        modeled_passes: run.modeled_passes,
-        peak_working_set_bytes: run.peak_working_set,
-        diagnostics,
-        mxm: mxm_stats,
+        telemetry: SimTelemetry {
+            wall_s: 0.0,
+            sim_steps: run.sim_steps,
+            modeled_passes: run.modeled_passes,
+            peak_working_set_bytes: run.peak_working_set,
+        },
+        mxm: mxm_plan.map(|(plan, ..)| plan.stats()),
+        schedule,
     })
 }
 
@@ -718,14 +647,15 @@ mod mxm_tests {
             "unfused loads/iter = {}",
             unfused.report.matrix_loads_per_iteration
         );
-        assert!(fused
-            .diagnostics
-            .iter()
-            .any(|d| d.contains("cross-iteration OEI across mxm")));
-        assert!(unfused
-            .diagnostics
-            .iter()
-            .any(|d| d.contains("without cross-iteration reuse")));
+        assert_eq!(
+            fused.schedule.oei,
+            crate::schedule::OeiClass::CrossIteration
+        );
+        assert_ne!(
+            unfused.schedule.oei,
+            crate::schedule::OeiClass::CrossIteration
+        );
+        assert!(fused.schedule.mxm && unfused.schedule.mxm);
     }
 
     #[test]

@@ -65,11 +65,11 @@ pub mod dualbuffer;
 pub mod energy;
 mod engine;
 pub mod invariants;
-pub mod memctrl;
 pub mod oei;
 pub mod pipeline;
 pub mod plan;
 pub mod profile;
+pub mod schedule;
 pub mod slab;
 pub mod spgemm;
 mod stats;
@@ -81,6 +81,7 @@ pub use driver::{SimOutcome, SimRequest, SimTelemetry};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use plan::PassPlan;
 pub use profile::MatrixProfile;
+pub use schedule::Schedule;
 pub use slab::{SlabError, SlabHeader};
 pub use spgemm::{MxmOutcome, MxmParams, MxmPlan, MxmRequest, MxmStats};
 pub use stats::{BwSample, SimReport, TrafficBreakdown};

@@ -104,11 +104,6 @@ impl<'a> PassRequest<'a> {
         self
     }
 
-    /// The workload parameters this request will run with.
-    pub fn params_ref(&self) -> &PassParams {
-        &self.params
-    }
-
     /// Executes the pass.
     pub fn run(self) -> PassResult {
         self.run_traced(&mut NullSink)

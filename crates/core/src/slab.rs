@@ -204,7 +204,7 @@ pub struct SlabHeader {
 impl SlabHeader {
     /// Size of the payload in bytes (six sections, u32 sections padded
     /// to 8-byte boundaries).
-    pub fn payload_bytes(&self) -> u64 {
+    fn payload_bytes(&self) -> u64 {
         let ptr = pad8(4 * (u64::from(self.n) + 1));
         let coords = pad8(4 * self.nnz);
         let vals = 8 * self.nnz;

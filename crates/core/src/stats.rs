@@ -180,81 +180,9 @@ pub struct SimReport {
     pub iterations: usize,
 }
 
-impl SimReport {
-    /// Achieved effective bandwidth in GB/s.
-    ///
-    /// A non-finite or non-positive `peak_gbps` (or a report whose
-    /// utilization came out non-finite) yields 0.0 rather than
-    /// propagating NaN/∞ into downstream tables.
-    pub fn achieved_gbps(&self, peak_gbps: f64) -> f64 {
-        let v = self.avg_bw_utilization * peak_gbps;
-        if peak_gbps.is_finite() && peak_gbps > 0.0 && v.is_finite() {
-            v.max(0.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Speedup of this run over another report of the same workload.
-    ///
-    /// Degenerate runtimes are well-defined instead of NaN: two zero
-    /// runtimes compare equal (1.0), and a zero-runtime `self` against a
-    /// real runtime is reported as `f64::INFINITY`.
-    pub fn speedup_over(&self, other: &SimReport) -> f64 {
-        if self.runtime_s > 0.0 {
-            other.runtime_s / self.runtime_s
-        } else if other.runtime_s > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report(runtime_s: f64, util: f64) -> SimReport {
-        SimReport {
-            total_cycles: 0,
-            runtime_s,
-            traffic: TrafficBreakdown::default(),
-            avg_bw_utilization: util,
-            bw_trace: Vec::new(),
-            buffer_peak_bytes: 0.0,
-            buffer_avg_bytes: 0.0,
-            evicted_elements: 0,
-            repack_events: 0,
-            energy: crate::energy::EnergyBreakdown::default(),
-            matrix_loads_per_iteration: 0.0,
-            iterations: 1,
-        }
-    }
-
-    #[test]
-    fn speedup_over_guards_zero_runtimes() {
-        let real = report(2.0, 0.5);
-        let faster = report(1.0, 0.5);
-        assert_eq!(faster.speedup_over(&real), 2.0);
-        let zero = report(0.0, 0.5);
-        assert_eq!(zero.speedup_over(&real), f64::INFINITY);
-        assert_eq!(zero.speedup_over(&zero), 1.0, "0/0 compares equal");
-        assert_eq!(real.speedup_over(&zero), 0.0, "real run vs instant run");
-        assert!(real.speedup_over(&real).is_finite());
-    }
-
-    #[test]
-    fn achieved_gbps_guards_degenerate_peaks() {
-        let r = report(1.0, 0.5);
-        assert_eq!(r.achieved_gbps(504.0), 252.0);
-        assert_eq!(r.achieved_gbps(0.0), 0.0);
-        assert_eq!(r.achieved_gbps(-10.0), 0.0);
-        assert_eq!(r.achieved_gbps(f64::NAN), 0.0);
-        assert_eq!(r.achieved_gbps(f64::INFINITY), 0.0);
-        let nan_util = report(1.0, f64::NAN);
-        assert_eq!(nan_util.achieved_gbps(504.0), 0.0);
-    }
 
     #[test]
     fn audit_totals_mirror_traffic_fields() {

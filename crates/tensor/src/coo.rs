@@ -98,11 +98,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Consumes the matrix, returning its triplets.
-    pub fn into_entries(self) -> Vec<(u32, u32, f64)> {
-        self.entries
-    }
-
     /// Inserts (accumulating on duplicate coordinates) a single entry.
     ///
     /// This is `O(n)` in the worst case; bulk construction should go through

@@ -194,15 +194,8 @@ impl CsrMatrix {
     }
 
     /// Sparse matrix × dense vector, `y = A·x`, under a semiring given by
-    /// `mul`/`add`/`zero` closures.
-    ///
-    /// This is the generic reference kernel; the statically-dispatched
-    /// convenience [`CsrMatrix::spmv`] covers the common case.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DimensionMismatch`] if `x.len() != ncols`.
-    pub fn spmv_with<M, A>(
+    /// `mul`/`add`/`zero` closures: the kernel behind [`CsrMatrix::spmv`].
+    fn spmv_with<M, A>(
         &self,
         x: &DenseVector,
         zero: f64,

@@ -260,14 +260,6 @@ impl DatasetSpec {
     pub fn scaled_buffer_bytes(scale: u64) -> usize {
         (PAPER_BUFFER_BYTES as u64 / scale).max(4096) as usize
     }
-
-    /// Approximate DRAM footprint of the full-size matrix in a single
-    /// 8-byte-value CSR image — the quantity the paper quotes as "sparse
-    /// matrices as large as 1.3 GB (with 64-bit datatype)".
-    pub fn footprint_bytes(&self) -> u64 {
-        self.nnz * (crate::VALUE_BYTES as u64 + crate::COORD_BYTES as u64)
-            + self.rows * crate::COORD_BYTES as u64
-    }
 }
 
 #[cfg(test)]
@@ -280,8 +272,6 @@ mod tests {
         let spec = MatrixId::Eu.spec();
         assert_eq!(spec.rows, 50_912_018);
         assert_eq!(spec.nnz, 54_054_660);
-        // the paper's largest matrix is ~1.3 GB with 64-bit values
-        assert!(spec.footprint_bytes() > 800 << 20);
     }
 
     #[test]

@@ -55,19 +55,9 @@ impl DenseVector {
         &mut self.0
     }
 
-    /// Consumes the vector, returning its elements.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.0
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.0.iter().sum()
-    }
-
-    /// Euclidean norm.
-    pub fn norm2(&self) -> f64 {
-        self.0.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Dot product with another vector.
@@ -228,7 +218,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `r >= nrows`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 
@@ -286,7 +276,6 @@ mod tests {
         let b = DenseVector::from(vec![4.0, 5.0, 6.0]);
         assert_eq!(a.dot(&b).unwrap(), 32.0);
         assert_eq!(a.sum(), 6.0);
-        assert!((a.norm2() - 14.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs_diff(&b).unwrap(), 3.0);
         assert!(a.dot(&DenseVector::zeros(2)).is_err());
     }

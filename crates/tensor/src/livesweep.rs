@@ -102,27 +102,6 @@ pub fn live_curve(m: &CooMatrix) -> Vec<usize> {
     curve
 }
 
-/// Downsamples a live curve (or any per-step series) to `samples` points by
-/// averaging each bucket — used for plotting Fig-15-style traces.
-///
-/// Returns the original curve if it is shorter than `samples`.
-pub fn downsample(curve: &[usize], samples: usize) -> Vec<f64> {
-    if curve.is_empty() || samples == 0 {
-        return Vec::new();
-    }
-    if curve.len() <= samples {
-        return curve.iter().map(|&v| v as f64).collect();
-    }
-    let mut out = Vec::with_capacity(samples);
-    for i in 0..samples {
-        let lo = i * curve.len() / samples;
-        let hi = ((i + 1) * curve.len() / samples).max(lo + 1);
-        let sum: usize = curve[lo..hi].iter().sum();
-        out.push(sum as f64 / (hi - lo) as f64);
-    }
-    out
-}
-
 fn summarize(curve: Vec<usize>, nnz: usize) -> LiveStats {
     let steps = curve.len();
     let max_live = curve.iter().copied().max().unwrap_or(0);
@@ -208,16 +187,6 @@ mod tests {
                 .count();
             assert_eq!(curve[s as usize], expected, "mismatch at step {s}");
         }
-    }
-
-    #[test]
-    fn downsample_preserves_mean() {
-        let curve: Vec<usize> = (0..1000).collect();
-        let ds = downsample(&curve, 25);
-        assert_eq!(ds.len(), 25);
-        let mean_orig: f64 = curve.iter().sum::<usize>() as f64 / 1000.0;
-        let mean_ds: f64 = ds.iter().sum::<f64>() / 25.0;
-        assert!((mean_orig - mean_ds).abs() < 1.0);
     }
 
     #[test]

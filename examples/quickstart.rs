@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.energy.total_j() * 1e3,
         100.0 * report.energy.memory_pj / report.energy.total_pj()
     );
-    for note in &outcome.diagnostics {
+    for note in outcome.schedule.notes() {
         println!("schedule:            {note}");
     }
     println!(
