@@ -85,11 +85,7 @@ pub struct CliOptions {
 impl CliOptions {
     /// The data context these options select.
     pub fn context(&self) -> DataContext {
-        DataContext {
-            scale: self.scale,
-            set: self.set,
-            source: self.source.to_source(),
-        }
+        DataContext::with_source(self.set, self.scale, self.source.to_source())
     }
 
     /// The app the `trace` subcommand targets (`pr` unless `--app`

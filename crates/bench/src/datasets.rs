@@ -13,8 +13,9 @@
 //! came from.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use sparsepipe_core::MatrixCache;
 use sparsepipe_tensor::{reorder, CooMatrix, MatrixId, MatrixStats};
 
 use crate::error::BenchError;
@@ -278,7 +279,13 @@ impl DatasetSpec {
 }
 
 /// Everything an experiment needs to obtain its matrices.
-#[derive(Debug, Clone)]
+///
+/// Loads are memoized: each matrix id is built at most once per
+/// context, and clones share the memo, so every artifact of one
+/// `experiments` run reads the same datasets. A failed load is not
+/// memoized. The memo is keyed by id alone, so change `scale` or
+/// `source` by building a new context, not by editing a clone.
+#[derive(Clone)]
 pub struct DataContext {
     /// Scale divisor for synthetic generation (also sets the buffer
     /// scaling; use 1 with real full-size matrices).
@@ -287,6 +294,19 @@ pub struct DataContext {
     pub set: MatrixSet,
     /// Matrix source.
     pub source: Arc<dyn MatrixSource>,
+    /// One slot per [`MatrixId`]; a slot's lock is held while its
+    /// matrix builds, so concurrent loads of one id build it once.
+    loaded: Arc<[Mutex<Option<Arc<ScaledDataset>>>]>,
+}
+
+impl std::fmt::Debug for DataContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DataContext")
+            .field("scale", &self.scale)
+            .field("set", &self.set)
+            .field("source", &self.source)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Hand-written so the serialized form (sweep JSON, checkpoint context
@@ -310,7 +330,13 @@ impl DataContext {
 
     /// Datasets at `scale` drawn from `source`.
     pub fn with_source(set: MatrixSet, scale: u64, source: Arc<dyn MatrixSource>) -> Self {
-        DataContext { scale, set, source }
+        let loaded = MatrixId::ALL.iter().map(|_| Mutex::new(None)).collect();
+        DataContext {
+            scale,
+            set,
+            source,
+            loaded,
+        }
     }
 
     /// The [`DatasetSpec`] this context uses for `id`.
@@ -325,19 +351,27 @@ impl DataContext {
     ///
     /// Returns [`BenchError::Dataset`] for a missing or malformed
     /// backing file.
-    pub fn load(&self, exec: &Executor) -> Result<Vec<ScaledDataset>, BenchError> {
+    pub fn load(&self, exec: &Executor) -> Result<Vec<Arc<ScaledDataset>>, BenchError> {
         let ids = self.set.ids();
         exec.run(ids, |&id| self.load_one(id)).into_iter().collect()
     }
 
-    /// Loads one matrix.
+    /// Loads one matrix, building it on the context's first request.
     ///
     /// # Errors
     ///
     /// Returns [`BenchError::Dataset`] for a missing or malformed
     /// backing file (synthetic generation is infallible).
-    pub fn load_one(&self, id: MatrixId) -> Result<ScaledDataset, BenchError> {
-        self.spec(id).load()
+    pub fn load_one(&self, id: MatrixId) -> Result<Arc<ScaledDataset>, BenchError> {
+        let mut slot = self.loaded[id as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(dataset) = &*slot {
+            return Ok(Arc::clone(dataset));
+        }
+        let dataset = Arc::new(self.spec(id).load()?);
+        *slot = Some(Arc::clone(&dataset));
+        Ok(dataset)
     }
 }
 
@@ -380,6 +414,33 @@ impl ScaledDataset {
     pub fn buffer_bytes(&self) -> usize {
         sparsepipe_tensor::DatasetSpec::scaled_buffer_bytes(self.scale)
     }
+
+    /// The matrix in `order` with its [`MatrixCache`] key — the one
+    /// place the harness derives keys. [`MatrixCache::key_for`] hashes
+    /// only the label, shape and nnz, which both orders share, so the
+    /// original order is labelled `<code>/orig`; the reordered one keeps
+    /// the bare code that the sweep and the serve daemon key by.
+    pub fn keyed(&self, order: VertexOrder) -> (&CooMatrix, u64) {
+        let code = self.id.code();
+        match order {
+            VertexOrder::Reordered => {
+                (&self.reordered, MatrixCache::key_for(code, &self.reordered))
+            }
+            VertexOrder::Original => (
+                &self.matrix,
+                MatrixCache::key_for(&format!("{code}/orig"), &self.matrix),
+            ),
+        }
+    }
+}
+
+/// Which vertex order of a [`ScaledDataset`] a simulation reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VertexOrder {
+    /// The matrix as loaded.
+    Original,
+    /// After GraphOrder reordering: the order the sweep simulates.
+    Reordered,
 }
 
 /// Which matrices an experiment run covers.
@@ -484,6 +545,76 @@ mod tests {
             assert_eq!(code, "dataset");
             assert!(rows < u64::from(u32::MAX));
         }
+    }
+
+    /// The synthetic source, counting builds per id; fails the next
+    /// load while `fail_next` is set.
+    #[derive(Debug, Default)]
+    struct CountingSource {
+        builds: [std::sync::atomic::AtomicUsize; 9],
+        fail_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl CountingSource {
+        fn builds(&self, id: MatrixId) -> usize {
+            self.builds[id as usize].load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl MatrixSource for CountingSource {
+        fn describe(&self) -> serde::Value {
+            serde::Value::Str("Counting".to_string())
+        }
+
+        fn load(&self, id: MatrixId, scale: u64) -> Result<ScaledDataset, BenchError> {
+            use std::sync::atomic::Ordering::SeqCst;
+            self.builds[id as usize].fetch_add(1, SeqCst);
+            if self.fail_next.swap(false, SeqCst) {
+                return Err(BenchError::Dataset {
+                    matrix: id,
+                    message: "injected".into(),
+                });
+            }
+            SyntheticSource.load(id, scale)
+        }
+    }
+
+    #[test]
+    fn context_builds_each_matrix_once() {
+        let source = Arc::new(CountingSource::default());
+        let ctx = DataContext::with_source(MatrixSet::Quick, 512, source.clone());
+        let exec = Executor::new(2);
+        let all = ctx.load(&exec).unwrap();
+        let clone = ctx.clone();
+        for (loaded, &id) in all.iter().zip(MatrixSet::Quick.ids()) {
+            assert!(Arc::ptr_eq(loaded, &ctx.load_one(id).unwrap()));
+            assert!(Arc::ptr_eq(loaded, &clone.load_one(id).unwrap()));
+        }
+        // Concurrent first requests for one id build it once.
+        let eu = exec.run(&[MatrixId::Eu; 4], |&id| clone.load_one(id).unwrap());
+        assert!(eu.iter().all(|d| Arc::ptr_eq(d, &eu[0])));
+        for id in MatrixId::ALL {
+            let expected = usize::from(MatrixSet::Quick.ids().contains(&id) || id == MatrixId::Eu);
+            assert_eq!(source.builds(id), expected, "{id:?}");
+        }
+        // A new context has its own memo.
+        DataContext::with_source(MatrixSet::Quick, 512, source.clone())
+            .load_one(MatrixId::Ca)
+            .unwrap();
+        assert_eq!(source.builds(MatrixId::Ca), 2);
+    }
+
+    #[test]
+    fn failed_load_is_retried() {
+        let source = Arc::new(CountingSource::default());
+        source
+            .fail_next
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        let ctx = DataContext::with_source(MatrixSet::Quick, 512, source.clone());
+        assert!(ctx.load_one(MatrixId::Ca).is_err());
+        let first = ctx.load_one(MatrixId::Ca).unwrap();
+        assert!(Arc::ptr_eq(&first, &ctx.load_one(MatrixId::Ca).unwrap()));
+        assert_eq!(source.builds(MatrixId::Ca), 2);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 use std::path::Path;
 
 use sparsepipe_apps::{registry, StaApp};
-use sparsepipe_core::{MemoryConfig, Preprocessing, ReorderKind, SimOutcome, SparsepipeConfig};
-use sparsepipe_tensor::{livesweep, BlockedDualStorage, CooMatrix, DualStorage, MatrixId};
+use sparsepipe_core::{MemoryConfig, Preprocessing, ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe_tensor::{livesweep, BlockedDualStorage, DualStorage, MatrixId};
 
-use crate::datasets::DataContext;
+use crate::datasets::{DataContext, ScaledDataset, VertexOrder};
 use crate::error::BenchError;
 use crate::executor::{Executor, PointRecord};
 use crate::geomean;
@@ -25,28 +25,25 @@ fn app_by_name(name: &str) -> Result<StaApp, BenchError> {
     registry::by_name(name).ok_or_else(|| BenchError::UnknownApp(name.into()))
 }
 
-/// Runs one simulation point through the [`sparsepipe_core::SimRequest`]
-/// driver, mapping the simulator error to [`BenchError::Sim`].
-fn sim_point(
-    app: &StaApp,
-    matrix_id: MatrixId,
-    matrix: &CooMatrix,
-    iterations: usize,
-    cfg: SparsepipeConfig,
-) -> Result<SimOutcome, BenchError> {
-    let program = app.compile().map_err(|e| BenchError::Compile {
-        app: app.name.into(),
-        message: e.to_string(),
-    })?;
-    sparsepipe_core::SimRequest::new(&program, matrix)
-        .iterations(iterations)
-        .config(cfg)
-        .run()
-        .map_err(|source| BenchError::Sim {
-            app: app.name.into(),
-            matrix: matrix_id,
-            source,
-        })
+/// The sweep's apps that the paper evaluates (Table III), in registry
+/// order. The mxm family is a reproduction extension (EXPERIMENTS.md):
+/// its rows are shown, but every aggregate quoted against a paper
+/// number covers these apps only.
+fn paper_apps(sweep: &Sweep) -> Vec<&'static str> {
+    let extensions: Vec<&str> = registry::mxm_family().iter().map(|a| a.name).collect();
+    let mut apps = sweep.app_names();
+    apps.retain(|app| !extensions.contains(app));
+    apps
+}
+
+/// A table with an `app` column, one column per matrix, then `extra`.
+fn per_matrix_table(matrices: &[MatrixId], extra: &[&str]) -> Table {
+    let codes = matrices.iter().map(|m| m.code());
+    Table::new(
+        std::iter::once("app")
+            .chain(codes)
+            .chain(extra.iter().copied()),
+    )
 }
 
 /// A regenerated table/figure.
@@ -74,19 +71,15 @@ impl Report {
 /// Returns [`BenchError::Dataset`] if a matrix fails to load.
 pub fn table1(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
     let datasets = ctx.load(exec)?;
-    let mut t = Table::new(
-        [
-            "matrix",
-            "rows/cols",
-            "nnz",
-            "max (%)",
-            "avg (%)",
-            "paper max",
-            "paper avg",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "matrix",
+        "rows/cols",
+        "nnz",
+        "max (%)",
+        "avg (%)",
+        "paper max",
+        "paper avg",
+    ]);
     for d in &datasets {
         let stats = livesweep::sweep(&d.matrix);
         let spec = d.id.spec();
@@ -116,16 +109,12 @@ pub fn table1(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> 
 ///
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn table2() -> Result<Report, BenchError> {
-    let mut t = Table::new(
-        [
-            "system",
-            "bandwidth (GB/s)",
-            "latency R/W (ns)",
-            "DRAM tech",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "system",
+        "bandwidth (GB/s)",
+        "latency R/W (ns)",
+        "DRAM tech",
+    ]);
     let rows: [(&str, MemoryConfig); 4] = [
         ("CPU (AMD 5800X3D)", MemoryConfig::ddr4()),
         ("GPU (NVIDIA 4070)", MemoryConfig::gddr6x()),
@@ -153,22 +142,15 @@ pub fn table2() -> Result<Report, BenchError> {
 ///
 /// Returns [`BenchError::Compile`] if a registered app fails to compile.
 pub fn table3() -> Result<Report, BenchError> {
-    let mut t = Table::new(
-        [
-            "app",
-            "vxm semiring",
-            "reuse pattern",
-            "domain",
-            "OEI verified",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "app",
+        "vxm semiring",
+        "reuse pattern",
+        "domain",
+        "OEI verified",
+    ]);
     for app in registry::all() {
-        let program = app.compile().map_err(|e| BenchError::Compile {
-            app: app.name.into(),
-            message: e.to_string(),
-        })?;
+        let program = sweep::compile(&app)?;
         t.row(vec![
             app.name.into(),
             app.semiring.to_string(),
@@ -196,10 +178,8 @@ pub fn table3() -> Result<Report, BenchError> {
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig14(sweep: &Sweep) -> Result<Report, BenchError> {
     let matrices = sweep.matrices();
-    let mut header = vec!["app".to_string()];
-    header.extend(matrices.iter().map(|m| m.code().to_string()));
-    header.push("geomean".into());
-    let mut t = Table::new(header);
+    let mut t = per_matrix_table(&matrices, &["geomean"]);
+    let paper = paper_apps(sweep);
     let mut oei_geo = Vec::new();
     let mut all_speedups = Vec::new();
     for app in sweep.app_names() {
@@ -218,6 +198,9 @@ pub fn fig14(sweep: &Sweep) -> Result<Report, BenchError> {
         let g = geomean(&speedups);
         row.push(fmt_x(g));
         t.row(row);
+        if !paper.contains(&app) {
+            continue;
+        }
         if entries.first().is_some_and(|e| e.has_oei) {
             oei_geo.push(g);
         }
@@ -255,14 +238,12 @@ pub fn fig15(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
     let results = exec.run(&pairs, |&(app_name, matrix_id)| {
         let dataset = ctx.load_one(matrix_id)?;
         let app = app_by_name(app_name)?;
-        let cfg = sweep::sparsepipe_config(&dataset);
-        sim_point(
-            &app,
-            matrix_id,
-            &dataset.reordered,
-            app.default_iterations,
-            cfg,
-        )
+        let program = sweep::compile(&app)?;
+        let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
+        let request = SimRequest::new(&program, matrix)
+            .iterations(app.default_iterations)
+            .config(sweep::sparsepipe_config(&dataset));
+        sweep::simulate(request, (exec.cache(), key), app.name, matrix_id)
     });
     let mut body = String::new();
     for (result, (app_name, matrix_id)) in results.into_iter().zip(pairs) {
@@ -306,11 +287,8 @@ pub fn fig15(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig16(sweep: &Sweep) -> Result<Report, BenchError> {
     let matrices = sweep.matrices();
-    let mut header = vec!["app".to_string()];
-    header.extend(matrices.iter().map(|m| m.code().to_string()));
-    header.push("geomean".into());
-    header.push("iso-CPU geomean".into());
-    let mut t = Table::new(header);
+    let mut t = per_matrix_table(&matrices, &["geomean", "iso-CPU geomean"]);
+    let paper = paper_apps(sweep);
     let mut geos = Vec::new();
     let mut iso_geos = Vec::new();
     let mut max_speedup = 0.0f64;
@@ -322,7 +300,6 @@ pub fn fig16(sweep: &Sweep) -> Result<Report, BenchError> {
         for m in &matrices {
             if let Some(e) = entries.iter().find(|e| e.matrix == *m) {
                 let s = e.speedup_vs_cpu();
-                max_speedup = max_speedup.max(s);
                 speedups.push(s);
                 iso.push(e.iso_cpu_speedup_vs_cpu());
                 row.push(fmt_x(s));
@@ -335,8 +312,11 @@ pub fn fig16(sweep: &Sweep) -> Result<Report, BenchError> {
         row.push(fmt_x(g));
         row.push(fmt_x(gi));
         t.row(row);
-        geos.push(g);
-        iso_geos.push(gi);
+        if paper.contains(&app) {
+            max_speedup = speedups.iter().copied().fold(max_speedup, f64::max);
+            geos.push(g);
+            iso_geos.push(gi);
+        }
     }
     let body = format!(
         "{}\nper-app geomean range: {} – {} (paper: 12.20x – 35.14x)\nmax: {} (paper: up to 164.84x on gcn)\niso-CPU geomean range: {} – {} (paper: 1.31x – 3.57x)\n",
@@ -361,7 +341,7 @@ pub fn fig16(sweep: &Sweep) -> Result<Report, BenchError> {
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig17(sweep: &Sweep) -> Result<Report, BenchError> {
     let subset = ["bfs", "kcore", "pr", "sssp"];
-    let mut t = Table::new(["app", "geomean speedup vs GPU"].map(String::from).to_vec());
+    let mut t = Table::new(["app", "geomean speedup vs GPU"]);
     let mut all = Vec::new();
     for app in subset {
         let speedups: Vec<f64> = sweep
@@ -392,9 +372,8 @@ pub fn fig17(sweep: &Sweep) -> Result<Report, BenchError> {
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig18(sweep: &Sweep) -> Result<Report, BenchError> {
     let matrices = sweep.matrices();
-    let mut header = vec!["app".to_string()];
-    header.extend(matrices.iter().map(|m| m.code().to_string()));
-    let mut t = Table::new(header);
+    let mut t = per_matrix_table(&matrices, &[]);
+    let paper = paper_apps(sweep);
     let mut all = Vec::new();
     for app in sweep.app_names() {
         let entries = sweep.by_app(app);
@@ -402,7 +381,9 @@ pub fn fig18(sweep: &Sweep) -> Result<Report, BenchError> {
         for m in &matrices {
             if let Some(e) = entries.iter().find(|e| e.matrix == *m) {
                 let f = e.fraction_of_oracle() * 100.0;
-                all.push(f);
+                if paper.contains(&app) {
+                    all.push(f);
+                }
                 row.push(fmt_pct(f));
             } else {
                 row.push("-".into());
@@ -431,44 +412,36 @@ pub fn fig18(sweep: &Sweep) -> Result<Report, BenchError> {
 pub fn fig19(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
     let datasets = ctx.load(exec)?;
     let apps = ["pr", "sssp", "kcore"];
-    let variants: [(&str, bool, bool); 4] = [
-        ("skeleton (no opt)", false, false),
-        ("+blocked", true, false),
-        ("+reorder", false, true),
-        ("+both", true, true),
+    let variants: [(&str, bool, VertexOrder); 4] = [
+        ("skeleton (no opt)", false, VertexOrder::Original),
+        ("+blocked", true, VertexOrder::Original),
+        ("+reorder", false, VertexOrder::Reordered),
+        ("+both", true, VertexOrder::Reordered),
     ];
     // One flat grid, variant-major (matching the sequential layout), so a
     // single executor batch covers every simulation of the figure.
     let mut points = Vec::new();
-    for &(name, blocked, reorder) in &variants {
+    for variant in &variants {
         for d in &datasets {
             for app_name in apps {
-                points.push((name, blocked, reorder, d, app_name));
+                points.push((variant, d, app_name));
             }
         }
     }
-    let results = exec.run(&points, |&(_, blocked, reorder, d, app_name)| {
-        let matrix = if reorder { &d.reordered } else { &d.matrix };
+    let results = exec.run(&points, |&(&(_, blocked, order), d, app_name)| {
         let app = app_by_name(app_name)?;
-        let program = app.compile().map_err(|e| BenchError::Compile {
-            app: app.name.into(),
-            message: e.to_string(),
-        })?;
+        let program = sweep::compile(&app)?;
         let cfg = SparsepipeConfig::iso_gpu()
             .with_buffer(d.buffer_bytes())
             .with_preprocessing(Preprocessing {
                 blocked,
                 reorder: ReorderKind::None,
             });
-        let outcome = sparsepipe_core::SimRequest::new(&program, matrix)
+        let (matrix, key) = d.keyed(order);
+        let request = SimRequest::new(&program, matrix)
             .iterations(app.default_iterations)
-            .config(cfg)
-            .run()
-            .map_err(|source| BenchError::Sim {
-                app: app.name.into(),
-                matrix: d.id,
-                source,
-            })?;
+            .config(cfg);
+        let outcome = sweep::simulate(request, (exec.cache(), key), app.name, d.id)?;
         let w = sparsepipe_baselines::WorkloadInstance {
             profile: &program.profile,
             n: d.matrix.nrows() as u64,
@@ -483,32 +456,22 @@ pub fn fig19(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
             outcome.telemetry,
         ))
     });
-    let mut speedups_by_variant: Vec<Vec<f64>> = variants.iter().map(|_| Vec::new()).collect();
-    for (result, (name, blocked, _, d, app_name)) in results.into_iter().zip(&points) {
+    let mut speedups = Vec::with_capacity(points.len());
+    for (result, ((name, ..), d, app_name)) in results.into_iter().zip(&points) {
         let (speedup, telemetry) = result?;
         exec.record(PointRecord::from_telemetry(
             format!("fig19:{}-{}:{}", app_name, d.id.code(), name),
             &telemetry,
         ));
-        let variant_idx = variants
-            .iter()
-            .position(|v| v.0 == *name && v.1 == *blocked)
-            .expect("point built from variants");
-        speedups_by_variant[variant_idx].push(speedup);
+        speedups.push(speedup);
     }
-    let per_variant: Vec<(&str, f64)> = variants
-        .iter()
-        .zip(&speedups_by_variant)
-        .map(|(&(name, _, _), speedups)| (name, geomean(speedups)))
+    let per_variant: Vec<f64> = speedups
+        .chunks((points.len() / variants.len()).max(1))
+        .map(geomean)
         .collect();
-    let mut t = Table::new(
-        ["variant", "geomean speedup vs ideal", "vs skeleton"]
-            .map(String::from)
-            .to_vec(),
-    );
-    let skeleton = per_variant[0].1;
-    for (name, g) in &per_variant {
-        t.row(vec![(*name).into(), fmt_x(*g), fmt_x(*g / skeleton)]);
+    let mut t = Table::new(["variant", "geomean speedup vs ideal", "vs skeleton"]);
+    for ((name, ..), g) in variants.iter().zip(&per_variant) {
+        t.row(vec![(*name).into(), fmt_x(*g), fmt_x(*g / per_variant[0])]);
     }
     Ok(Report {
         id: "fig19",
@@ -526,11 +489,7 @@ pub fn fig19(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
 /// Returns [`BenchError::Dataset`] if a matrix fails to load.
 pub fn fig20a(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
     let datasets = ctx.load(exec)?;
-    let mut t = Table::new(
-        ["matrix", "dual (MB)", "blocked dual (MB)", "ratio"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["matrix", "dual (MB)", "blocked dual (MB)", "ratio"]);
     let mut ratios = Vec::new();
     for d in &datasets {
         let dual = DualStorage::from_coo(&d.reordered).storage_bytes() as f64;
@@ -563,9 +522,11 @@ pub fn fig20a(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> 
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig20b(sweep: &Sweep) -> Result<Report, BenchError> {
     use sparsepipe_baselines::area;
+    let paper = paper_apps(sweep);
     let cpu_speedups: Vec<f64> = sweep
         .entries
         .iter()
+        .filter(|e| paper.contains(&e.app))
         .map(super::sweep::Entry::speedup_vs_cpu)
         .collect();
     let gpu_subset = ["bfs", "kcore", "pr", "sssp"];
@@ -579,11 +540,7 @@ pub fn fig20b(sweep: &Sweep) -> Result<Report, BenchError> {
     let vs_gpu = geomean(&gpu_speedups);
     let ppa_cpu = area::perf_per_area_ratio(vs_cpu, area::SPARSEPIPE_MM2, area::CPU_MM2);
     let ppa_gpu = area::perf_per_area_ratio(vs_gpu, area::SPARSEPIPE_MM2, area::GPU_MM2);
-    let mut t = Table::new(
-        ["system", "area (mm2)", "speedup", "perf/area vs system"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["system", "area (mm2)", "speedup", "perf/area vs system"]);
     t.row(vec![
         "Sparsepipe".into(),
         format!("{:.2}", area::SPARSEPIPE_MM2),
@@ -615,11 +572,8 @@ pub fn fig20b(sweep: &Sweep) -> Result<Report, BenchError> {
 ///
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig21(sweep: &Sweep) -> Result<Report, BenchError> {
-    let mut t = Table::new(
-        ["app", "bw utilization (geomean)"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["app", "bw utilization (geomean)"]);
+    let paper = paper_apps(sweep);
     let mut all = Vec::new();
     let mut memory_bound = Vec::new();
     for app in sweep.app_names() {
@@ -630,6 +584,9 @@ pub fn fig21(sweep: &Sweep) -> Result<Report, BenchError> {
             .collect();
         let g = geomean(&utils);
         t.row(vec![app.into(), fmt_pct(g)]);
+        if !paper.contains(&app) {
+            continue;
+        }
         all.push(g);
         if app != "gmres" && app != "gcn" {
             memory_bound.push(g);
@@ -654,11 +611,7 @@ pub fn fig21(sweep: &Sweep) -> Result<Report, BenchError> {
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig22(sweep: &Sweep) -> Result<Report, BenchError> {
     let matrices = sweep.matrices();
-    let mut t = Table::new(
-        ["matrix", "CPU util (geomean)", "GPU util (geomean)"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["matrix", "CPU util (geomean)", "GPU util (geomean)"]);
     for m in matrices {
         let cpu: Vec<f64> = sweep
             .entries
@@ -691,17 +644,14 @@ pub fn fig22(sweep: &Sweep) -> Result<Report, BenchError> {
 ///
 /// Infallible in practice; `Result` for a uniform generator signature.
 pub fn fig23(sweep: &Sweep) -> Result<Report, BenchError> {
-    let mut t = Table::new(
-        [
-            "app",
-            "total energy vs ideal",
-            "memory",
-            "buffer",
-            "compute",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "app",
+        "total energy vs ideal",
+        "memory",
+        "buffer",
+        "compute",
+    ]);
+    let paper = paper_apps(sweep);
     let mut savings = Vec::new();
     let mut mem_savings = Vec::new();
     let mut buf_savings = Vec::new();
@@ -725,6 +675,9 @@ pub fn fig23(sweep: &Sweep) -> Result<Report, BenchError> {
             fmt_pct(buf * 100.0),
             fmt_pct(cmp * 100.0),
         ]);
+        if !paper.contains(&app) {
+            continue;
+        }
         savings.push(1.0 - total);
         mem_savings.push(1.0 - mem);
         buf_savings.push(1.0 - buf);
@@ -767,18 +720,27 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
     // telemetry are emitted in config order.
     let study = |study: &str,
                  app: &StaApp,
-                 matrix_id: MatrixId,
-                 matrix: &CooMatrix,
+                 dataset: &ScaledDataset,
+                 order: VertexOrder,
                  configs: &[(String, SparsepipeConfig)]|
      -> Result<Vec<sparsepipe_core::SimReport>, BenchError> {
+        let program = sweep::compile(app)?;
+        let (matrix, key) = dataset.keyed(order);
         let outcomes = exec.run(configs, |(_, cfg)| {
-            sim_point(app, matrix_id, matrix, app.default_iterations, *cfg)
+            let request = SimRequest::new(&program, matrix)
+                .iterations(app.default_iterations)
+                .config(*cfg);
+            sweep::simulate(request, (exec.cache(), key), app.name, dataset.id)
         });
         let mut reports = Vec::with_capacity(configs.len());
         for (outcome, (label, _)) in outcomes.into_iter().zip(configs) {
             let outcome = outcome?;
             exec.record(PointRecord::from_telemetry(
-                format!("ablation:{study}:{}-{}:{label}", app.name, matrix_id.code()),
+                format!(
+                    "ablation:{study}:{}-{}:{label}",
+                    app.name,
+                    dataset.id.code()
+                ),
                 &outcome.telemetry,
             ));
             reports.push(outcome.report);
@@ -807,12 +769,8 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
         )
     })
     .collect();
-    let mut t = Table::new(
-        ["sub-tensor T", "steps", "runtime (ms)", "bw util"]
-            .map(String::from)
-            .to_vec(),
-    );
-    for (r, (label, cfg)) in study("subtensor", &pr, wi.id, &wi.reordered, &configs)?
+    let mut t = Table::new(["sub-tensor T", "steps", "runtime (ms)", "bw util"]);
+    for (r, (label, cfg)) in study("subtensor", &pr, &wi, VertexOrder::Reordered, &configs)?
         .into_iter()
         .zip(&configs)
     {
@@ -856,20 +814,22 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
         )
     })
     .collect();
-    let mut t = Table::new(
-        [
-            "variant",
-            "runtime (ms)",
-            "refetch (MB)",
-            "eager (MB)",
-            "evictions",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
-    for (r, (name, _)) in study("eager-eviction", &sssp, bu.id, &bu.matrix, &configs)?
-        .into_iter()
-        .zip(&configs)
+    let mut t = Table::new([
+        "variant",
+        "runtime (ms)",
+        "refetch (MB)",
+        "eager (MB)",
+        "evictions",
+    ]);
+    for (r, (name, _)) in study(
+        "eager-eviction",
+        &sssp,
+        &bu,
+        VertexOrder::Original,
+        &configs,
+    )?
+    .into_iter()
+    .zip(&configs)
     {
         t.row(vec![
             name.clone(),
@@ -895,12 +855,8 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
             )
         })
         .collect();
-    let mut t = Table::new(
-        ["repack threshold", "runtime (ms)", "repacks", "evictions"]
-            .map(String::from)
-            .to_vec(),
-    );
-    for (r, (label, _)) in study("repack", &sssp, bu.id, &bu.matrix, &configs)?
+    let mut t = Table::new(["repack threshold", "runtime (ms)", "repacks", "evictions"]);
+    for (r, (label, _)) in study("repack", &sssp, &bu, VertexOrder::Original, &configs)?
         .into_iter()
         .zip(&configs)
     {
@@ -927,12 +883,8 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
             )
         })
         .collect();
-    let mut t = Table::new(
-        ["buffer", "runtime (ms)", "refetch (MB)", "loads/iter"]
-            .map(String::from)
-            .to_vec(),
-    );
-    for (r, (label, _)) in study("buffer", &pr, bu.id, &bu.matrix, &configs)?
+    let mut t = Table::new(["buffer", "runtime (ms)", "refetch (MB)", "loads/iter"]);
+    for (r, (label, _)) in study("buffer", &pr, &bu, VertexOrder::Original, &configs)?
         .into_iter()
         .zip(&configs)
     {
@@ -969,7 +921,7 @@ pub fn verify() -> Result<Report, BenchError> {
     use sparsepipe_semiring::SemiringOp;
     use sparsepipe_tensor::{gen, DenseVector};
 
-    let mut t = Table::new(["check", "status"].map(String::from).to_vec());
+    let mut t = Table::new(["check", "status"]);
     let mut failures = 0usize;
     let check = |t: &mut Table, failures: &mut usize, name: String, ok: bool| {
         if !ok {
@@ -1102,56 +1054,38 @@ pub fn trace_point(
     trace_dir: &std::path::Path,
 ) -> Result<Report, BenchError> {
     use sparsepipe_trace::{
-        chrome, jsonl, MemorySink, OccupancyTimeline, ReuseHistogram, StageTraffic, TraceAudit,
-        TrafficTimeline,
+        chrome, jsonl, MemorySink, OccupancyTimeline, ReuseHistogram, StageTraffic, TrafficTimeline,
     };
 
     let app = app_by_name(app_name)?;
     let dataset = ctx.load_one(matrix_id)?;
-    let program = app.compile().map_err(|e| BenchError::Compile {
-        app: app.name.into(),
-        message: e.to_string(),
-    })?;
-    let cfg = sweep::sparsepipe_config(&dataset);
+    let program = sweep::compile(&app)?;
+    let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
     let mut sink = MemorySink::new();
-    let outcome = sparsepipe_core::SimRequest::new(&program, &dataset.reordered)
+    let request = SimRequest::new(&program, matrix)
         .iterations(app.default_iterations)
-        .config(cfg)
-        .trace(&mut sink)
-        .run()
-        .map_err(|source| BenchError::Sim {
-            app: app.name.into(),
-            matrix: matrix_id,
-            source,
-        })?;
+        .config(sweep::sparsepipe_config(&dataset))
+        .trace(&mut sink);
+    let outcome = sweep::simulate(request, (exec.cache(), key), app.name, matrix_id)?;
     let events = sink.events();
-    TraceAudit::replay(events)
-        .check(&outcome.report.traffic.audit_totals())
-        .map_err(|e| BenchError::Trace {
-            app: app.name.into(),
-            matrix: matrix_id,
-            message: e.to_string(),
-        })?;
+    sweep::audit(events, &outcome.report, app.name, matrix_id)?;
 
     std::fs::create_dir_all(trace_dir).map_err(|e| BenchError::Io {
         path: trace_dir.to_path_buf(),
         source: e,
     })?;
-    let io_err =
-        |path: std::path::PathBuf| move |e: std::io::Error| BenchError::Io { path, source: e };
-    let jsonl_path = trace_dir.join("trace.jsonl");
-    jsonl::write_events(&jsonl_path, events).map_err(io_err(jsonl_path.clone()))?;
-    let chrome_path = trace_dir.join("chrome-trace.json");
-    chrome::write(&chrome_path, events).map_err(io_err(chrome_path.clone()))?;
+    let export = |name: &str, write: &dyn Fn(&Path) -> std::io::Result<()>| {
+        let path = trace_dir.join(name);
+        write(&path).map_err(|source| BenchError::Io { path, source })
+    };
+    export("trace.jsonl", &|p| jsonl::write_events(p, events))?;
+    export("chrome-trace.json", &|p| chrome::write(p, events))?;
     let reuse = ReuseHistogram::from_events(events);
-    let reuse_path = trace_dir.join("reuse.csv");
-    std::fs::write(&reuse_path, reuse.to_csv()).map_err(io_err(reuse_path.clone()))?;
+    export("reuse.csv", &|p| std::fs::write(p, reuse.to_csv()))?;
     let occupancy = OccupancyTimeline::from_events(events);
-    let occ_path = trace_dir.join("occupancy.csv");
-    std::fs::write(&occ_path, occupancy.to_csv()).map_err(io_err(occ_path.clone()))?;
-    let traffic_path = trace_dir.join("traffic.csv");
-    std::fs::write(&traffic_path, TrafficTimeline::from_events(events).to_csv())
-        .map_err(io_err(traffic_path.clone()))?;
+    export("occupancy.csv", &|p| std::fs::write(p, occupancy.to_csv()))?;
+    let traffic = TrafficTimeline::from_events(events);
+    export("traffic.csv", &|p| std::fs::write(p, traffic.to_csv()))?;
 
     let counters = sweep::trace_counters(events);
     exec.record(
@@ -1199,7 +1133,7 @@ pub fn trace_point(
     let _ = writeln!(
         body,
         "exports    : {} (+ chrome-trace.json for Perfetto, reuse/occupancy/traffic CSVs)",
-        jsonl_path.display()
+        trace_dir.join("trace.jsonl").display()
     );
     Ok(Report {
         id: "trace",
@@ -1236,7 +1170,7 @@ pub fn analyze(
 ) -> Result<(Report, usize), BenchError> {
     use serde::Serialize as _;
     use sparsepipe_lint::analysis_cost;
-    use sparsepipe_trace::{replay_passes, MemorySink, TraceAudit};
+    use sparsepipe_trace::{replay_passes, MemorySink};
 
     let apps: Vec<StaApp> = match app_filter {
         Some(name) => vec![app_by_name(name)?],
@@ -1244,58 +1178,39 @@ pub fn analyze(
     };
     let dataset = ctx.load_one(matrix_id)?;
     let cfg = sweep::sparsepipe_config(&dataset);
+    let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
+    let cache = (&**exec.cache(), key);
+    let profile = sweep::cached_profile(exec.cache(), key, &cfg, matrix);
 
-    let mut t = Table::new(
-        [
-            "app",
-            "passes",
-            "lower (MB)",
-            "actual (MB)",
-            "upper (MB)",
-            "occupancy peak",
-            "reuse",
-            "diags",
-            "bounds",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "app",
+        "passes",
+        "lower (MB)",
+        "actual (MB)",
+        "upper (MB)",
+        "occupancy peak",
+        "reuse",
+        "diags",
+        "bounds",
+    ]);
     let mut violations = 0usize;
     let mut apps_json: Vec<serde::Value> = Vec::new();
     let mb = |b: f64| format!("{:.2}", b / 1e6);
 
     for app in &apps {
-        let program = app.compile().map_err(|e| BenchError::Compile {
-            app: app.name.into(),
-            message: e.to_string(),
-        })?;
+        let program = sweep::compile(app)?;
         let iterations = app.default_iterations;
-        let cost = analysis_cost::analyze_matrix(&program, &dataset.reordered, &cfg, iterations);
+        let cost = analysis_cost::analyze(&program, &profile, &cfg, iterations);
 
         let mut sink = MemorySink::new();
-        let outcome = sparsepipe_core::SimRequest::new(&program, &dataset.reordered)
+        let request = SimRequest::new(&program, matrix)
             .iterations(iterations)
             .config(cfg)
-            .cache(
-                exec.cache(),
-                sparsepipe_core::MatrixCache::key_for(dataset.id.code(), &dataset.reordered),
-            )
-            .trace(&mut sink)
-            .run()
-            .map_err(|source| BenchError::Sim {
-                app: app.name.into(),
-                matrix: matrix_id,
-                source,
-            })?;
+            .trace(&mut sink);
+        let outcome = sweep::simulate(request, cache, app.name, matrix_id)?;
         // Ground truth: the trace must reproduce the report bitwise
         // before it is allowed to judge the static bounds.
-        TraceAudit::replay(sink.events())
-            .check(&outcome.report.traffic.audit_totals())
-            .map_err(|e| BenchError::Trace {
-                app: app.name.into(),
-                matrix: matrix_id,
-                message: e.to_string(),
-            })?;
+        sweep::audit(sink.events(), &outcome.report, app.name, matrix_id)?;
         exec.record(PointRecord::from_telemetry(
             format!("analyze:{}-{}", app.name, matrix_id.code()),
             &outcome.telemetry,
@@ -1489,23 +1404,20 @@ pub fn compile_exprs(
     }
     let dataset = ctx.load_one(matrix_id)?;
     let cfg = sweep::sparsepipe_config(&dataset);
+    let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
     let mb = |b: f64| format!("{:.2}", b / 1e6);
 
-    let mut t = Table::new(
-        [
-            "expr",
-            "ops",
-            "profile",
-            "errors",
-            "warnings",
-            "iters",
-            "cycles",
-            "traffic (MB)",
-            "status",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let mut t = Table::new([
+        "expr",
+        "ops",
+        "profile",
+        "errors",
+        "warnings",
+        "iters",
+        "cycles",
+        "traffic (MB)",
+        "status",
+    ]);
     let mut failing = 0usize;
     let mut details = String::new();
     for e in entries {
@@ -1540,11 +1452,10 @@ pub fn compile_exprs(
                         "stream"
                     });
                     if !report.has_errors() {
-                        let run = sparsepipe_core::SimRequest::new(&program, &dataset.reordered)
+                        let request = SimRequest::new(&program, matrix)
                             .iterations(lowered.iterations)
-                            .config(cfg)
-                            .run();
-                        match run {
+                            .config(cfg);
+                        match sweep::simulate(request, (exec.cache(), key), &e.name, matrix_id) {
                             Ok(outcome) => {
                                 exec.record(PointRecord::from_telemetry(
                                     format!("compile:{}-{}", e.name, matrix_id.code()),
@@ -1552,7 +1463,7 @@ pub fn compile_exprs(
                                 ));
                                 point = Some(outcome);
                             }
-                            Err(err) => backend_failure = Some(format!("simulation: {err}")),
+                            Err(err) => backend_failure = Some(err.to_string()),
                         }
                     }
                 }
@@ -1656,11 +1567,7 @@ pub fn convert(
             format!("synthetic {} @ scale 1/{scale}", matrix_id.code()),
         )
     };
-    let mut t = Table::new(
-        ["slab", "n", "nnz", "bytes", "fingerprint"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["slab", "n", "nnz", "bytes", "fingerprint"]);
     t.row(vec![
         out.display().to_string(),
         header.n.to_string(),
@@ -1683,11 +1590,7 @@ pub fn convert(
 /// representative pass plan per feature width. Returns the report and the
 /// number of apps with lint errors.
 pub fn lint_apps() -> (Report, usize) {
-    let mut t = Table::new(
-        ["app", "errors", "warnings", "status"]
-            .map(String::from)
-            .to_vec(),
-    );
+    let mut t = Table::new(["app", "errors", "warnings", "status"]);
     let mut failing = 0usize;
     let mut details = String::new();
     let config = SparsepipeConfig::iso_gpu();

@@ -9,9 +9,10 @@ use sparsepipe_baselines::ideal::IdealAccelerator;
 use sparsepipe_baselines::oracle::OracleAccelerator;
 use sparsepipe_baselines::{BaselineReport, WorkloadInstance};
 use sparsepipe_core::{
-    MatrixCache, MatrixProfile, PassPlan, Preprocessing, ReorderKind, SimReport, SimRequest,
-    SimTelemetry, SparsepipeConfig,
+    MatrixCache, MatrixProfile, PassPlan, Preprocessing, ReorderKind, SimOutcome, SimReport,
+    SimRequest, SimTelemetry, SparsepipeConfig,
 };
+use sparsepipe_frontend::SparsepipeProgram;
 use sparsepipe_tensor::{CooMatrix, MatrixId};
 use sparsepipe_trace::{
     jsonl, MemorySink, NullSink, OccupancyTimeline, ReuseHistogram, TraceAudit, TraceEvent,
@@ -19,7 +20,7 @@ use sparsepipe_trace::{
 };
 
 use crate::checkpoint::Journal;
-use crate::datasets::{DataContext, ScaledDataset};
+use crate::datasets::{DataContext, ScaledDataset, VertexOrder};
 use crate::error::{BenchError, PointError, PointKey};
 use crate::executor::{Executor, PointOutcome, PointRecord, TraceCounters};
 use crate::fault::{FaultInjector, InjectedFault, RetryPolicy};
@@ -331,10 +332,6 @@ impl<'a> EvalRequest<'a> {
                 &private
             }
         };
-        let cache = (
-            cache,
-            MatrixCache::key_for(self.dataset.id.code(), &self.dataset.reordered),
-        );
         let evaluation = match &mut self.sink {
             Some(sink) => {
                 sink.clear();
@@ -346,13 +343,7 @@ impl<'a> EvalRequest<'a> {
                     cache,
                     self.deadline,
                 )?;
-                TraceAudit::replay(sink.events())
-                    .check(&ev.entry.sim.traffic.audit_totals())
-                    .map_err(|e| BenchError::Trace {
-                        app: self.app.name.into(),
-                        matrix: self.dataset.id,
-                        message: e.to_string(),
-                    })?;
+                audit(sink.events(), &ev.entry.sim, self.app.name, self.dataset.id)?;
                 ev
             }
             None => evaluate_with_sink(
@@ -371,54 +362,99 @@ impl<'a> EvalRequest<'a> {
     }
 }
 
+/// Compiles `app`: the one place a compile failure becomes
+/// [`BenchError::Compile`].
+pub(crate) fn compile(app: &StaApp) -> Result<SparsepipeProgram, BenchError> {
+    app.compile().map_err(|e| BenchError::Compile {
+        app: app.name.into(),
+        message: e.to_string(),
+    })
+}
+
+/// Runs `request` through `cache` under `key` (from
+/// [`ScaledDataset::keyed`]), mapping the simulator's error to
+/// [`BenchError::Sim`] for `app` on `matrix`. Every simulation of the
+/// harness runs here.
+pub(crate) fn simulate<'a, S: TraceSink>(
+    request: SimRequest<'a, S>,
+    (cache, key): (&'a MatrixCache, u64),
+    app: &str,
+    matrix: MatrixId,
+) -> Result<SimOutcome, BenchError> {
+    request
+        .cache(cache, key)
+        .run()
+        .map_err(|source| BenchError::Sim {
+            app: app.into(),
+            matrix,
+            source,
+        })
+}
+
+/// Checks that a traced run's `events` replay `report`'s DRAM traffic
+/// bit for bit, or fails with [`BenchError::Trace`].
+pub(crate) fn audit(
+    events: &[TraceEvent],
+    report: &SimReport,
+    app: &str,
+    matrix: MatrixId,
+) -> Result<(), BenchError> {
+    TraceAudit::replay(events)
+        .check(&report.traffic.audit_totals())
+        .map_err(|e| BenchError::Trace {
+            app: app.into(),
+            matrix,
+            message: e.to_string(),
+        })
+}
+
 fn evaluate_with_sink<S: TraceSink>(
     app: &StaApp,
     dataset: &ScaledDataset,
     scale: u64,
     sink: &mut S,
-    (cache, key): (&MatrixCache, u64),
+    cache: &MatrixCache,
     deadline: Option<std::time::Duration>,
 ) -> Result<Evaluation, BenchError> {
-    let program = app.compile().map_err(|e| BenchError::Compile {
-        app: app.name.into(),
-        message: e.to_string(),
-    })?;
+    let program = compile(app)?;
     let iterations = app.default_iterations;
     let cfg = sparsepipe_config(dataset);
-    let sim_err = |source| BenchError::Sim {
-        app: app.name.into(),
-        matrix: dataset.id,
-        source,
+    let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
+    let request = |cfg, budget: Option<std::time::Duration>| {
+        let request = SimRequest::new(&program, matrix)
+            .iterations(iterations)
+            .config(cfg);
+        match budget {
+            Some(budget) => request.deadline(budget),
+            None => request,
+        }
     };
     // determinism: allow (wall-clock deadline bookkeeping, not simulated state)
     let started = std::time::Instant::now();
-    let mut request = SimRequest::new(&program, &dataset.reordered)
-        .iterations(iterations)
-        .config(cfg)
-        .cache(cache, key);
-    if let Some(budget) = deadline {
-        request = request.deadline(budget);
-    }
-    let outcome = request.trace(&mut *sink).run().map_err(sim_err)?;
+    let outcome = simulate(
+        request(cfg, deadline).trace(&mut *sink),
+        (cache, key),
+        app.name,
+        dataset.id,
+    )?;
     let cfg_cpu = SparsepipeConfig {
         memory: sparsepipe_core::MemoryConfig::ddr4(),
         ..cfg
     };
-    let mut request_cpu = SimRequest::new(&program, &dataset.reordered)
-        .iterations(iterations)
-        .config(cfg_cpu)
-        .cache(cache, key);
-    if let Some(budget) = deadline {
-        // The iso-CPU run gets whatever wall-clock remains of the point's
-        // budget; a spent budget fails at the run's first deadline check.
-        request_cpu = request_cpu.deadline(budget.saturating_sub(started.elapsed()));
-    }
-    let iso_cpu = request_cpu.run().map_err(sim_err)?;
+    // The iso-CPU run gets whatever wall-clock remains of the point's
+    // budget; a spent budget fails at the run's first deadline check.
+    let remaining = deadline.map(|budget| budget.saturating_sub(started.elapsed()));
+    let iso_cpu = simulate(
+        request(cfg_cpu, remaining),
+        (cache, key),
+        app.name,
+        dataset.id,
+    )?;
 
     // SpGEMM surcharge for the analytical baselines, derived from the
     // same exact statics the pruner and analyzer use.
     let work = if program.profile.mxm_passes > 0 {
-        let profile = cached_profile(cache, key, &cfg, &dataset.reordered);
+        let profile = cached_profile(cache, key, &cfg, matrix);
         mxm_work(&program.profile, &profile)
     } else {
         None
@@ -467,7 +503,7 @@ fn evaluate_with_sink<S: TraceSink>(
 /// The [`MatrixProfile`] of `matrix` (cached under `key`) at `cfg`'s
 /// sub-tensor width, built from the likewise cached [`PassPlan`] on a
 /// miss.
-fn cached_profile(
+pub(crate) fn cached_profile(
     cache: &MatrixCache,
     key: u64,
     cfg: &SparsepipeConfig,
@@ -522,8 +558,7 @@ impl Sweep {
                 source: e,
             })?;
         }
-        let datasets: Vec<Arc<ScaledDataset>> =
-            context.load(exec)?.into_iter().map(Arc::new).collect();
+        let datasets = context.load(exec)?;
         let apps: Arc<[StaApp]> = registry::shared();
         let scale = context.scale;
         let points: Vec<(Arc<ScaledDataset>, &StaApp)> = datasets
@@ -572,30 +607,22 @@ impl Sweep {
             None => unfilled,
             Some(budget) => {
                 let mut kept = Vec::new();
-                let mut programs: Vec<(&str, Option<Arc<sparsepipe_frontend::SparsepipeProgram>>)> =
-                    Vec::new();
+                // Points are matrix-major over the registry, so point `i`
+                // runs app `i % apps.len()`.
+                let programs: Vec<_> = apps.iter().map(|app| app.compile().ok()).collect();
                 for &i in &unfilled {
                     let (dataset, app) = &points[i];
-                    let program = match programs.iter().find(|(n, _)| *n == app.name) {
-                        Some((_, p)) => p.clone(),
-                        None => {
-                            let p = app.compile().ok().map(Arc::new);
-                            programs.push((app.name, p.clone()));
-                            p
-                        }
-                    };
                     // A non-compiling app is never pruned — the normal
                     // execution path owns reporting that failure.
-                    let Some(program) = program else {
+                    let Some(program) = &programs[i % apps.len()] else {
                         kept.push(i);
                         continue;
                     };
                     let cfg = sparsepipe_config(dataset);
-                    let matrix = &dataset.reordered;
-                    let key = MatrixCache::key_for(dataset.id.code(), matrix);
+                    let (matrix, key) = dataset.keyed(VertexOrder::Reordered);
                     let profile = cached_profile(&cache, key, &cfg, matrix);
                     let report = sparsepipe_lint::analysis_cost::analyze(
-                        &program,
+                        program,
                         &profile,
                         &cfg,
                         app.default_iterations,
@@ -908,6 +935,44 @@ mod tests {
             .entry;
         let sp = cg_eu.speedup_vs_ideal();
         assert!((0.6..1.4).contains(&sp), "cg/eu speedup {sp} out of band");
+    }
+
+    #[test]
+    fn vertex_orders_key_apart_on_a_shared_cache() {
+        let dataset = crate::datasets::DatasetSpec::new(MatrixId::Bu, 256)
+            .load()
+            .unwrap();
+        let (_, original) = dataset.keyed(VertexOrder::Original);
+        let (_, reordered) = dataset.keyed(VertexOrder::Reordered);
+        assert_ne!(original, reordered);
+        assert_eq!(reordered, MatrixCache::key_for("bu", &dataset.reordered));
+
+        let pr = registry::by_name("pr").unwrap();
+        let program = compile(&pr).unwrap();
+        let shared = MatrixCache::new();
+        let run = |order, cache: &MatrixCache| {
+            let (matrix, key) = dataset.keyed(order);
+            let request = SimRequest::new(&program, matrix)
+                .iterations(pr.default_iterations)
+                .config(sparsepipe_config(&dataset));
+            simulate(request, (cache, key), pr.name, dataset.id)
+                .unwrap()
+                .report
+        };
+        // Each order on the shared cache (warmed by the other order
+        // first) equals a run on a fresh cache; the orders differ, so a
+        // shared key would show.
+        let reports: Vec<SimReport> = [VertexOrder::Reordered, VertexOrder::Original]
+            .into_iter()
+            .map(|order| {
+                let report = run(order, &shared);
+                assert_eq!(report, run(order, &MatrixCache::new()), "{order:?}");
+                report
+            })
+            .collect();
+        assert_ne!(reports[0], reports[1]);
+        assert_eq!(run(VertexOrder::Reordered, &shared), reports[0]);
+        assert!(shared.hits() > 0);
     }
 
     #[test]

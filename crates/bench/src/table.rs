@@ -4,7 +4,7 @@
 ///
 /// ```
 /// use sparsepipe_bench::table::Table;
-/// let mut t = Table::new(vec!["app".into(), "speedup".into()]);
+/// let mut t = Table::new(["app", "speedup"]);
 /// t.row(vec!["pr".into(), "2.31".into()]);
 /// let s = t.render();
 /// assert!(s.contains("pr"));
@@ -18,9 +18,9 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: Vec<String>) -> Self {
+    pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
         Table {
-            header,
+            header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(vec!["a".into(), "bb".into()]);
+        let mut t = Table::new(["a", "bb"]);
         t.row(vec!["xxx".into(), "1".into()]);
         t.row(vec!["y".into()]);
         let s = t.render();

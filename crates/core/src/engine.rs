@@ -9,7 +9,7 @@ use crate::config::{ReorderKind, SparsepipeConfig};
 use crate::energy::EnergyTally;
 use crate::pipeline::{PassParams, PassResult};
 use crate::plan::PassPlan;
-use crate::schedule::{PassKind, Schedule};
+use crate::schedule::{PassKind, Schedule, StreamBytes};
 use crate::stats::{BwSample, SimReport, TrafficBreakdown, TrafficLedger};
 use crate::{CoreError, SimOutcome, SimTelemetry};
 
@@ -105,7 +105,6 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     let nnz = matrix.nnz() as f64;
     let pes = config.pes_per_core as f64;
     let ewise_elem = ewise_arith + profile.dense_flops_per_element;
-    let vbytes = (profile.fused_vector_reads + profile.fused_vector_writes) * n * 8.0;
 
     let mut run = RunTotals {
         bpc,
@@ -165,14 +164,14 @@ pub(crate) fn simulate_inner<S: TraceSink>(
             PassKind::UnfusedTail => {
                 // A trailing single iteration with no partner to fuse with:
                 // one OS-only sweep at roofline.
-                let mbytes = nnz * fetch_b * profile.matrix_passes as f64;
+                let bytes = pass.stream_bytes(profile, n, nnz, fetch_b);
                 let compute = (nnz * 2.0 * feature) / (2.0 * pes) + n * feature * ewise_elem / pes;
                 run.open(sink, pass.repeats, 1);
                 let result = closed_form_pass(
                     sink,
-                    ((mbytes + vbytes) / bpc).max(compute),
-                    [mbytes, vbytes * 0.6, vbytes * 0.4],
-                    2.0 * (mbytes + vbytes),
+                    ((bytes.matrix + bytes.vector) / bpc).max(compute),
+                    bytes.charged,
+                    2.0 * (bytes.matrix + bytes.vector),
                     nnz * 2.0 * feature + n * feature * ewise_arith,
                 );
                 run.fold(&result, pass.repeats, 0.0);
@@ -182,7 +181,11 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                 // consumer fusion only (CG/BiCGSTAB class). The matrix is
                 // streamed once per matrix operator per iteration in a
                 // single (row- or column-) order — no dual storage needed.
-                let mbytes = profile.matrix_passes as f64 * nnz * fetch_b;
+                let StreamBytes {
+                    matrix: mbytes,
+                    vector: vbytes,
+                    charged,
+                } = pass.stream_bytes(profile, n, nnz, fetch_b);
                 let matrix_compute =
                     profile.matrix_passes as f64 * nnz * 2.0 * feature / (2.0 * pes);
                 let ewise_compute = n * feature * ewise_elem / pes;
@@ -193,20 +196,16 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                 const DISPATCH_OVERHEAD: f64 = 1.12;
                 let per_iter_cycles = ((mbytes + vbytes) / bpc).max(matrix_compute + ewise_compute)
                     * DISPATCH_OVERHEAD;
-                let reads = profile.fused_vector_reads
-                    / (profile.fused_vector_reads + profile.fused_vector_writes).max(1e-9);
                 // The pass's share is the whole run: full totals, never
                 // per-iteration values × iterations (f64 multiplication does
                 // not re-associate across that split; the audit compares bits).
                 let iters = pass.share;
-                let csc_total = mbytes * iters;
-                let vec_total_read = vbytes * iters * reads;
-                let vec_total_write = vbytes * iters * (1.0 - reads);
+                let [csc_total, vec_total_read, vec_total_write] = charged;
                 run.open(sink, pass.repeats, 1);
                 let result = closed_form_pass(
                     sink,
                     per_iter_cycles * iters,
-                    [csc_total, vec_total_read, vec_total_write],
+                    charged,
                     2.0 * (csc_total + vec_total_read + vec_total_write),
                     iters
                         * (profile.matrix_passes as f64 * nnz * 2.0 * feature

@@ -76,6 +76,57 @@ pub struct ScheduledPass {
     pub share: f64,
 }
 
+/// The DRAM bytes of a closed-form stream pass
+/// ([`ScheduledPass::stream_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamBytes {
+    /// Matrix bytes one iteration streams.
+    pub matrix: f64,
+    /// Dense-vector bytes one iteration streams.
+    pub vector: f64,
+    /// The pass's `[CSC, vector read, write-back]` bytes.
+    pub charged: [f64; 3],
+}
+
+impl ScheduledPass {
+    /// The bytes of a [`PassKind::UnfusedTail`] or [`PassKind::ClosedForm`]
+    /// pass over a matrix with `n` rows and `nnz` entries fetched at
+    /// `fetch_b` bytes each: the odd tail of a cross-iteration run (one
+    /// iteration, a fixed 60/40 read/write split), or the whole-run
+    /// model of a graph without OEI (all `share` iterations in one pass,
+    /// split by the fused read/write counts). The engine charges these
+    /// bytes and the analyzer bounds them, so both read this one formula.
+    pub fn stream_bytes(
+        &self,
+        profile: &WorkloadProfile,
+        n: f64,
+        nnz: f64,
+        fetch_b: f64,
+    ) -> StreamBytes {
+        let (reads, writes) = (profile.fused_vector_reads, profile.fused_vector_writes);
+        let vector = (reads + writes) * n * 8.0;
+        let passes = profile.matrix_passes as f64;
+        let (matrix, charged) = if self.kind == PassKind::UnfusedTail {
+            let matrix = nnz * fetch_b * passes;
+            (matrix, [matrix, vector * 0.6, vector * 0.4])
+        } else {
+            let matrix = passes * nnz * fetch_b;
+            let read_share = reads / (reads + writes).max(1e-9);
+            let iters = self.share;
+            let read = vector * iters * read_share;
+            (
+                matrix,
+                [matrix * iters, read, vector * iters * (1.0 - read_share)],
+            )
+        };
+        StreamBytes {
+            matrix,
+            vector,
+            charged,
+        }
+    }
+}
+
 /// The typed scheduling decisions of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {

@@ -413,28 +413,12 @@ fn fused_pass_bounds(
     (traffic, occupancy, no_eviction, thrash)
 }
 
-/// Traffic of a closed-form stream, with the engine's arithmetic: the
-/// odd tail of a cross-iteration run (a fixed 60/40 read/write split), or
-/// the whole-run model of a graph without OEI (all `share` iterations in
-/// one pass).
+/// Traffic of a closed-form stream: exactly the bytes the engine
+/// charges ([`ScheduledPass::stream_bytes`]).
 fn stream_bounds(wp: &WorkloadProfile, geo: &Geometry<'_>, pass: &ScheduledPass) -> TrafficBounds {
-    let (mp, fetch_b) = (geo.mp, geo.fetch_b);
-    let n = f64::from(mp.n);
-    let vector_bytes = (wp.fused_vector_reads + wp.fused_vector_writes) * n * 8.0;
-    let [csc, read, write] = if pass.kind == PassKind::UnfusedTail {
-        let matrix_bytes = mp.nnz as f64 * fetch_b * wp.matrix_passes as f64;
-        [matrix_bytes, vector_bytes * 0.6, vector_bytes * 0.4]
-    } else {
-        let matrix_bytes = wp.matrix_passes as f64 * mp.nnz as f64 * fetch_b;
-        let reads =
-            wp.fused_vector_reads / (wp.fused_vector_reads + wp.fused_vector_writes).max(1e-9);
-        let iters = pass.share;
-        [
-            matrix_bytes * iters,
-            vector_bytes * iters * reads,
-            vector_bytes * iters * (1.0 - reads),
-        ]
-    };
+    let [csc, read, write] = pass
+        .stream_bytes(wp, f64::from(geo.mp.n), geo.mp.nnz as f64, geo.fetch_b)
+        .charged;
     TrafficBounds {
         csc: Interval::around(csc),
         csr_eager: Interval::zero(),

@@ -44,7 +44,6 @@ struct Block {
 /// let coo = CooMatrix::from_entries(600, 600, vec![(0, 0, 1.0), (300, 599, 2.0)])?;
 /// let blocked = BlockedDualStorage::from_coo(&coo);
 /// assert_eq!(blocked.nnz(), 2);
-/// assert_eq!(blocked.n_blocks(), 2);
 /// // Blocked storage is a lossless encoding:
 /// assert_eq!(blocked.to_coo(), coo);
 /// // ... and much smaller than the naive dual image:
@@ -160,17 +159,8 @@ impl BlockedDualStorage {
     }
 
     /// Number of non-empty blocks.
-    pub fn n_blocks(&self) -> usize {
+    fn n_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Average non-zeros per non-empty block.
-    pub fn avg_block_occupancy(&self) -> f64 {
-        if self.blocks.is_empty() {
-            0.0
-        } else {
-            self.nnz() as f64 / self.n_blocks() as f64
-        }
     }
 
     /// Iterates over the entries of the block at `block_id` as global
@@ -179,7 +169,7 @@ impl BlockedDualStorage {
     /// # Panics
     ///
     /// Panics if `block_id >= n_blocks()`.
-    pub fn block_entries(&self, block_id: usize) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+    fn block_entries(&self, block_id: usize) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
         let b = &self.blocks[block_id];
         let base_r = b.brow * BLOCK_DIM;
         let base_c = b.bcol * BLOCK_DIM;
@@ -190,21 +180,6 @@ impl BlockedDualStorage {
                 self.vals[i],
             )
         })
-    }
-
-    /// Block ids (into the block table) of all blocks in block-column `bc`,
-    /// ascending block row — the CSC-of-blocks access path used by the CSC
-    /// loader.
-    pub fn blocks_in_bcol(&self, bc: u32) -> std::ops::Range<usize> {
-        self.bcol_ptr[bc as usize]..self.bcol_ptr[bc as usize + 1]
-    }
-
-    /// Block ids of all blocks in block-row `br`, ascending block column —
-    /// the CSR-of-blocks access path used by the CSR loader.
-    pub fn blocks_in_brow(&self, br: u32) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.brow_ptr[br as usize];
-        let hi = self.brow_ptr[br as usize + 1];
-        self.brow_blocks[lo..hi].iter().map(|&i| i as usize)
     }
 
     /// Reconstructs the COO matrix (lossless round-trip).
@@ -244,31 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn block_indices_cover_all_blocks_once() {
-        let coo = crate::gen::uniform(700, 900, 4000, 3);
-        let b = BlockedDualStorage::from_coo(&coo);
-        let nbcols = 900u32.div_ceil(BLOCK_DIM);
-        let nbrows = 700u32.div_ceil(BLOCK_DIM);
-        let via_cols: usize = (0..nbcols).map(|c| b.blocks_in_bcol(c).len()).sum();
-        let via_rows: usize = (0..nbrows).map(|r| b.blocks_in_brow(r).count()).sum();
-        assert_eq!(via_cols, b.n_blocks());
-        assert_eq!(via_rows, b.n_blocks());
-    }
-
-    #[test]
-    fn row_major_path_sees_same_entries() {
-        let coo = crate::gen::uniform(600, 600, 3000, 9);
-        let b = BlockedDualStorage::from_coo(&coo);
-        let nbrows = 600u32.div_ceil(BLOCK_DIM);
-        let mut entries: Vec<_> = (0..nbrows)
-            .flat_map(|br| b.blocks_in_brow(br).collect::<Vec<_>>())
-            .flat_map(|id| b.block_entries(id).collect::<Vec<_>>())
-            .collect();
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        assert_eq!(entries, coo.entries());
-    }
-
-    #[test]
     fn blocked_is_much_smaller_than_naive_dual() {
         // Clustered matrix: many entries share blocks, so the shared pool
         // pays off. (Fig 20a reports 39.2% on the paper's datasets.)
@@ -293,7 +243,6 @@ mod tests {
         let b = BlockedDualStorage::from_coo(&coo);
         assert_eq!(b.n_blocks(), 0);
         assert_eq!(b.nnz(), 0);
-        assert_eq!(b.avg_block_occupancy(), 0.0);
         assert_eq!(b.to_coo(), coo);
     }
 }
