@@ -129,9 +129,9 @@ fn run() -> Result<ExitCode, BenchError> {
     let wall_start = Instant::now();
     eprintln!(
         "# sparsepipe experiments — scale 1/{}, {:?} matrices, source {:?}, {} worker(s)",
-        ctx.scale,
-        ctx.set,
-        ctx.source,
+        ctx.scale(),
+        ctx.set(),
+        ctx.source(),
         exec.jobs()
     );
     // Figures 14/16/17/18/20b/21/22/23 share one sweep; run it lazily.

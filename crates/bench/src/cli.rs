@@ -678,10 +678,10 @@ mod tests {
         assert_eq!(o.source, SourceConfig::MatrixMarket("/data/mtx".into()));
         let ctx = o.context();
         assert_eq!(
-            serde_json::to_string(&ctx.source.describe()).unwrap(),
+            serde_json::to_string(&ctx.source().describe()).unwrap(),
             r#"{"MatrixMarket":"/data/mtx"}"#
         );
-        assert_eq!(ctx.scale, 1);
+        assert_eq!(ctx.scale(), 1);
     }
 
     #[test]

@@ -283,17 +283,13 @@ impl DatasetSpec {
 /// Loads are memoized: each matrix id is built at most once per
 /// context, and clones share the memo, so every artifact of one
 /// `experiments` run reads the same datasets. A failed load is not
-/// memoized. The memo is keyed by id alone, so change `scale` or
-/// `source` by building a new context, not by editing a clone.
+/// memoized. The memo is keyed by id alone, so the scale, set and
+/// source are fixed at construction and only readable afterwards.
 #[derive(Clone)]
 pub struct DataContext {
-    /// Scale divisor for synthetic generation (also sets the buffer
-    /// scaling; use 1 with real full-size matrices).
-    pub scale: u64,
-    /// Which Table-I matrices to cover.
-    pub set: MatrixSet,
-    /// Matrix source.
-    pub source: Arc<dyn MatrixSource>,
+    scale: u64,
+    set: MatrixSet,
+    source: Arc<dyn MatrixSource>,
     /// One slot per [`MatrixId`]; a slot's lock is held while its
     /// matrix builds, so concurrent loads of one id build it once.
     loaded: Arc<[Mutex<Option<Arc<ScaledDataset>>>]>,
@@ -337,6 +333,22 @@ impl DataContext {
             source,
             loaded,
         }
+    }
+
+    /// Scale divisor for synthetic generation (also sets the buffer
+    /// scaling; 1 with real full-size matrices).
+    pub fn scale(&self) -> u64 {
+        self.scale
+    }
+
+    /// Which Table-I matrices the context covers.
+    pub fn set(&self) -> MatrixSet {
+        self.set
+    }
+
+    /// Where the context's matrices come from.
+    pub fn source(&self) -> &Arc<dyn MatrixSource> {
+        &self.source
     }
 
     /// The [`DatasetSpec`] this context uses for `id`.

@@ -97,7 +97,7 @@ pub fn table1(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> 
         id: "table1",
         title: format!(
             "on-chip live set under the OEI dataflow (scale 1/{})",
-            ctx.scale
+            ctx.scale()
         ),
         body: t.render(),
     })
@@ -900,7 +900,7 @@ pub fn ablation(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError
 
     Ok(Report {
         id: "ablation",
-        title: format!("design-choice ablations (scale 1/{})", ctx.scale),
+        title: format!("design-choice ablations (scale 1/{})", ctx.scale()),
         body,
     })
 }
@@ -1105,7 +1105,7 @@ pub fn trace_point(
         app.name,
         matrix_id.code(),
         app.default_iterations,
-        ctx.scale
+        ctx.scale()
     );
     let _ = writeln!(body, "events     : {}", events.len());
     let _ = writeln!(
@@ -1337,7 +1337,7 @@ pub fn analyze(
 
     let json = serde::Value::Map(vec![
         ("matrix".into(), matrix_id.code().to_value()),
-        ("scale".into(), ctx.scale.to_value()),
+        ("scale".into(), ctx.scale().to_value()),
         ("violations".into(), violations.to_value()),
         ("apps".into(), serde::Value::Seq(apps_json)),
     ]);
@@ -1365,7 +1365,7 @@ pub fn analyze(
             title: format!(
                 "static traffic/occupancy bounds vs simulator on {} (scale 1/{})",
                 matrix_id.code(),
-                ctx.scale
+                ctx.scale()
             ),
             body,
         },
@@ -1521,7 +1521,7 @@ pub fn compile_exprs(
             title: format!(
                 "sparse-einsum front door on {} (scale 1/{})",
                 matrix_id.code(),
-                ctx.scale
+                ctx.scale()
             ),
             body,
         },

@@ -560,7 +560,7 @@ impl Sweep {
         }
         let datasets = context.load(exec)?;
         let apps: Arc<[StaApp]> = registry::shared();
-        let scale = context.scale;
+        let scale = context.scale();
         let points: Vec<(Arc<ScaledDataset>, &StaApp)> = datasets
             .iter()
             .flat_map(|d| apps.iter().map(move |a| (Arc::clone(d), a)))

@@ -7,11 +7,14 @@
 //! [`sparsepipe_tensor::spgemm`] ([`Spa`]) over [`MatrixArena`] CSR
 //! slices — one kernel for the timing model and the functional result.
 //!
-//! The stage splits in two. [`MxmPlan::build`] runs the kernel and the
-//! residency window once and records per-step counts; [`MxmPlan::replay`]
-//! turns them into cycles, traffic and trace events for a given fusion
-//! width. The engine counts `C` and never builds it; [`MxmRequest`]
-//! drains the same accumulator in column order and returns `C`.
+//! The stage splits in three. [`MxmPlan::build`] first runs the kernel
+//! once into a per-row census (products, surviving entries, accumulator
+//! width), which depends only on the matrix and the semiring; a window
+//! pass then walks the rows through the configuration's residency window
+//! and folds the census into per-step counts; [`MxmPlan::replay`] turns
+//! those into cycles, traffic and trace events for a given fusion width.
+//! The engine counts `C` and never builds it; [`MxmRequest`] drains the
+//! same accumulator in column order and returns `C`.
 //!
 //! The traffic model mirrors the dataflow:
 //!
@@ -264,7 +267,7 @@ pub struct MxmPlan {
 }
 
 impl MxmPlan {
-    /// Runs the kernel and the residency window over the arena at
+    /// Runs the kernel, then the residency window over its census, at
     /// `t_rows` rows per step (clamped to ≥ 1).
     pub fn build(
         arena: &MatrixArena,
@@ -278,7 +281,8 @@ impl MxmPlan {
         plan
     }
 
-    /// [`build`](MxmPlan::build), checking `deadline` once per step.
+    /// [`build`](MxmPlan::build), with the kernel checking `deadline`
+    /// once per step's block of rows.
     pub(crate) fn build_until(
         arena: &MatrixArena,
         semiring: SemiringOp,
@@ -400,7 +404,26 @@ impl MxmPlan {
     }
 }
 
-/// Dispatches the semiring once, to [`plan_rows`] monomorphised over it.
+/// The configuration-free half of the Gustavson stage: per row of `M`,
+/// what the kernel produced. It depends only on the arena and the
+/// semiring (the count drain drops entries that cancel).
+#[derive(Debug, Clone, Copy)]
+struct CensusRow {
+    /// Scalar products the row formed.
+    products: u64,
+    /// `C` entries the row kept after accumulation.
+    out: u32,
+    /// Accumulator columns the row touched.
+    live: u32,
+}
+
+/// The Gustavson kernel's output for every row of `M`, in row order.
+#[derive(Debug, Clone)]
+pub(crate) struct MxmCensus {
+    rows: Vec<CensusRow>,
+}
+
+/// Runs the kernel, then the residency window over its census.
 fn build_plan(
     arena: &MatrixArena,
     semiring: SemiringOp,
@@ -409,34 +432,86 @@ fn build_plan(
     deadline: Option<&Deadline>,
     rows: Option<&mut CsrRows>,
 ) -> Result<MxmPlan, crate::CoreError> {
+    let t_rows = t_rows.max(1);
+    let census = census(arena, semiring, t_rows, deadline, rows)?;
+    Ok(plan_rows(arena, config, t_rows, &census))
+}
+
+/// Dispatches the semiring once, to [`census_rows`] monomorphised over
+/// it.
+fn census(
+    arena: &MatrixArena,
+    semiring: SemiringOp,
+    t_rows: usize,
+    deadline: Option<&Deadline>,
+    rows: Option<&mut CsrRows>,
+) -> Result<MxmCensus, crate::CoreError> {
     match semiring {
-        SemiringOp::MulAdd => plan_rows::<MulAdd>(arena, config, t_rows, deadline, rows),
-        SemiringOp::AndOr => plan_rows::<AndOr>(arena, config, t_rows, deadline, rows),
-        SemiringOp::MinAdd => plan_rows::<MinAdd>(arena, config, t_rows, deadline, rows),
-        SemiringOp::ArilAdd => plan_rows::<ArilAdd>(arena, config, t_rows, deadline, rows),
+        SemiringOp::MulAdd => census_rows::<MulAdd>(arena, t_rows, deadline, rows),
+        SemiringOp::AndOr => census_rows::<AndOr>(arena, t_rows, deadline, rows),
+        SemiringOp::MinAdd => census_rows::<MinAdd>(arena, t_rows, deadline, rows),
+        SemiringOp::ArilAdd => census_rows::<ArilAdd>(arena, t_rows, deadline, rows),
     }
 }
 
-/// The Gustavson sweep: for every row, fetch each demanded stationary
-/// row through the FIFO residency window, then merge it into the
-/// [`Spa`] — the accumulator of [`sparsepipe_tensor::spgemm::spgemm`].
+/// The Gustavson kernel: for every row, merge each demanded stationary
+/// row into the [`Spa`] — the accumulator of
+/// [`sparsepipe_tensor::spgemm::spgemm`] — and record the row's counts.
 /// With `rows` the drain is sorted and `C` lands in `rows`; without it
-/// the drain only counts.
-fn plan_rows<R: Semiring>(
+/// the drain only counts. `deadline` is checked once per block of
+/// `t_rows` rows, where a pipeline step starts.
+fn census_rows<R: Semiring>(
     arena: &MatrixArena,
-    config: &SparsepipeConfig,
     t_rows: usize,
     deadline: Option<&Deadline>,
     mut rows: Option<&mut CsrRows>,
-) -> Result<MxmPlan, crate::CoreError> {
+) -> Result<MxmCensus, crate::CoreError> {
+    let n = arena.n();
+    let mut spa = Spa::<R>::new(n);
+    let mut census = Vec::with_capacity(n as usize);
+    for s in 0..step_count(n, t_rows) {
+        if let Some(d) = deadline {
+            d.check()?;
+        }
+        let row_lo = (s * t_rows) as u32;
+        let row_hi = (((s + 1) * t_rows).min(n as usize)) as u32;
+        for i in row_lo..row_hi {
+            let (m_cols, m_vals) = arena.row(i);
+            let mut products = 0u64;
+            for (&k, &m_ik) in m_cols.iter().zip(m_vals) {
+                let (b_cols, b_vals) = arena.row(k);
+                products += b_cols.len() as u64;
+                spa.scatter(m_ik, b_cols, b_vals);
+            }
+            let live = spa.live() as u32;
+            let out = match rows.as_deref_mut() {
+                Some(rows) => spa.drain_sorted(rows),
+                None => spa.drain_count(),
+            } as u32;
+            census.push(CensusRow {
+                products,
+                out,
+                live,
+            });
+        }
+    }
+    Ok(MxmCensus { rows: census })
+}
+
+/// The per-configuration window pass: walks `M`'s rows in order, fetches
+/// each demanded stationary row through the FIFO residency window, and
+/// folds the census rows into [`PlanStep`]s of `t_rows` rows.
+fn plan_rows(
+    arena: &MatrixArena,
+    config: &SparsepipeConfig,
+    t_rows: usize,
+    census: &MxmCensus,
+) -> MxmPlan {
     let n = arena.n();
     let fetch_b = config.fetch_bytes_per_element();
     let elem_b = config.buffer_bytes_per_element();
-    let t_rows = t_rows.max(1);
     let n_steps = step_count(n, t_rows);
     let residency_budget = config.buffer_bytes as f64 * RESIDENCY_FRACTION;
-
-    let mut spa = Spa::<R>::new(n);
 
     // Right-operand row residency: FIFO over row ids, byte-bounded.
     let mut resident = RowSet::with_capacity(n as usize);
@@ -451,49 +526,41 @@ fn plan_rows<R: Semiring>(
     let mut peak_acc_cols = 0u32;
 
     for s in 0..n_steps {
-        if let Some(d) = deadline {
-            d.check()?;
-        }
         let row_lo = (s * t_rows) as u32;
         let row_hi = (((s + 1) * t_rows).min(n as usize)) as u32;
 
         let mut step = PlanStep::default();
 
         for i in row_lo..row_hi {
-            let (m_cols, m_vals) = arena.row(i);
+            let m_cols = arena.row(i).0;
             step.left_bytes += m_cols.len() as f64 * fetch_b;
-            for (&k, &m_ik) in m_cols.iter().zip(m_vals) {
-                // ---- stationary-operand row fetch through the window ----
-                if !resident.contains(k) {
-                    let row_bytes = arena.row_nnz(k) as f64 * elem_b;
-                    let dram_bytes = arena.row_nnz(k) as f64 * fetch_b;
-                    if ever_loaded.insert(k) {
-                        step.demand += dram_bytes;
-                    } else {
-                        step.refetch += dram_bytes;
-                    }
-                    resident.insert(k);
-                    fifo.push_back(k);
-                    resident_bytes += row_bytes;
-                    while resident_bytes > residency_budget && fifo.len() > 1 {
-                        let victim = fifo.pop_front().expect("fifo non-empty");
-                        if resident.remove(victim) {
-                            let victim_nnz = arena.row_nnz(victim);
-                            resident_bytes -= victim_nnz as f64 * elem_b;
-                            evicted_elements += victim_nnz as u64;
-                        }
+            for &k in m_cols {
+                if resident.contains(k) {
+                    continue;
+                }
+                let row_bytes = arena.row_nnz(k) as f64 * elem_b;
+                let dram_bytes = arena.row_nnz(k) as f64 * fetch_b;
+                if ever_loaded.insert(k) {
+                    step.demand += dram_bytes;
+                } else {
+                    step.refetch += dram_bytes;
+                }
+                resident.insert(k);
+                fifo.push_back(k);
+                resident_bytes += row_bytes;
+                while resident_bytes > residency_budget && fifo.len() > 1 {
+                    let victim = fifo.pop_front().expect("fifo non-empty");
+                    if resident.remove(victim) {
+                        let victim_nnz = arena.row_nnz(victim);
+                        resident_bytes -= victim_nnz as f64 * elem_b;
+                        evicted_elements += victim_nnz as u64;
                     }
                 }
-                // ---- Gustavson merge ----
-                let (b_cols, b_vals) = arena.row(k);
-                step.products += b_cols.len() as u64;
-                spa.scatter(m_ik, b_cols, b_vals);
             }
-            step.acc_peak = step.acc_peak.max(spa.live() as u32);
-            step.out_entries += match rows.as_deref_mut() {
-                Some(rows) => spa.drain_sorted(rows),
-                None => spa.drain_count(),
-            };
+            let row = census.rows[i as usize];
+            step.products += row.products;
+            step.out_entries += u64::from(row.out);
+            step.acc_peak = step.acc_peak.max(row.live);
         }
         step.resident_bytes = resident_bytes;
 
@@ -503,7 +570,7 @@ fn plan_rows<R: Semiring>(
         steps.push(step);
     }
 
-    Ok(MxmPlan {
+    MxmPlan {
         t_rows,
         steps,
         evictions: evicted_elements,
@@ -513,7 +580,7 @@ fn plan_rows<R: Semiring>(
             peak_accumulator_cols: peak_acc_cols,
             expansion_factor: products_total as f64 / (arena.nnz() as f64).max(1.0),
         },
-    })
+    }
 }
 
 #[cfg(test)]
@@ -686,6 +753,27 @@ mod tests {
                 writeback_bytes: traced.pass.traffic.writeback_bytes,
             })
             .unwrap();
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_census() {
+        let m = gen::uniform(200, 200, 1200, 3);
+        let arena = MatrixArena::from_coo(&m);
+        let expired = Deadline {
+            at: std::time::Instant::now(),
+            budget_ms: 7,
+        };
+        let from_census = census(&arena, SemiringOp::MulAdd, 16, Some(&expired), None);
+        assert!(matches!(
+            from_census,
+            Err(crate::CoreError::DeadlineExceeded { budget_ms: 7 })
+        ));
+        let from_build =
+            MxmPlan::build_until(&arena, SemiringOp::MulAdd, &cfg(), 16, Some(&expired));
+        assert!(matches!(
+            from_build,
+            Err(crate::CoreError::DeadlineExceeded { budget_ms: 7 })
+        ));
     }
 
     #[test]

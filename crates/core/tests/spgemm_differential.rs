@@ -3,16 +3,20 @@
 //! count-only [`MxmPlan`] must be bitwise equal to the original
 //! quadratic loops in `sparsepipe_testutil::spgemm_oracle` — values,
 //! `MxmStats`, every field of the timing `PassResult`, and the trace
-//! event stream — under every semiring.
+//! event stream — under every semiring. Row by row, the production
+//! [`Spa`] (branch-free first-touch append) must also match
+//! `spgemm_oracle::StampSpa`, the accumulator it replaced, in live
+//! width, count drain and sorted drain.
 
 use proptest::prelude::*;
 use sparsepipe_core::pipeline::PassResult;
 use sparsepipe_core::spgemm::{MxmParams, MxmPlan, MxmRequest, MxmStats};
 use sparsepipe_core::{MatrixArena, SparsepipeConfig};
-use sparsepipe_semiring::SemiringOp;
-use sparsepipe_tensor::spgemm::spgemm;
+use sparsepipe_semiring::{AndOr, ArilAdd, MinAdd, MulAdd, Semiring, SemiringOp};
+use sparsepipe_tensor::spgemm::{spgemm, CsrRows, Spa};
 use sparsepipe_tensor::{CooMatrix, CsrMatrix};
-use sparsepipe_testutil::{coo_matrix, corpus, spgemm_oracle as oracle};
+use sparsepipe_testutil::spgemm_oracle::{self as oracle, StampSpa};
+use sparsepipe_testutil::{coo_matrix, corpus};
 use sparsepipe_trace::{MemorySink, NullSink};
 
 /// Every `f64` of a pass, as bits, in a fixed order.
@@ -65,23 +69,72 @@ fn assert_same_matrix(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
     assert_eq!(got.col_idx(), want.col_idx(), "{what}: columns");
     // Rust leaves the sign and payload of a NaN result unspecified (the
     // compiler may commute an addition), so NaNs compare as one class.
-    let bits = |m: &CsrMatrix| {
-        m.vals()
-            .iter()
-            .map(|v| {
-                if v.is_nan() {
-                    f64::NAN.to_bits()
-                } else {
-                    v.to_bits()
-                }
-            })
-            .collect::<Vec<_>>()
-    };
+    let bits = |m: &CsrMatrix| m.vals().iter().map(|&v| value_bits(v)).collect::<Vec<_>>();
     assert_eq!(bits(got), bits(want), "{what}: values");
 }
 
-/// `tensor::spgemm(a, b)` against the oracle, for every semiring.
+/// NaN-insensitive bits of one value (see [`assert_same_matrix`]).
+fn value_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// The production [`Spa`] against the stamp SPA over every row of
+/// `A ⊕.⊗ B`: the live width, then the drain, alternating between the
+/// count drain and the sorted drain so both see every row shape.
+fn check_spa_rows<R: Semiring>(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+    let mut spa = Spa::<R>::new(b.ncols());
+    let mut stamp = StampSpa::<R>::new(b.ncols());
+    for pass in 0..2 {
+        for i in 0..a.nrows() {
+            let (a_cols, a_vals) = a.row(i);
+            for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
+                let (b_cols, b_vals) = b.row(k);
+                spa.scatter(a_ik, b_cols, b_vals);
+                stamp.scatter(a_ik, b_cols, b_vals);
+            }
+            let ctx = format!("{what}: row {i}, pass {pass}");
+            assert_eq!(spa.live(), stamp.live(), "{ctx}: live");
+            if (i + pass) % 2 == 0 {
+                assert_eq!(spa.drain_count(), stamp.drain_count(), "{ctx}: count");
+            } else {
+                let mut rows = CsrRows::new();
+                let kept = spa.drain_sorted(&mut rows);
+                let got = rows.into_csr(b.ncols());
+                let want = stamp.drain_sorted();
+                assert_eq!(kept, want.len() as u64, "{ctx}: sorted count");
+                let (cols, vals) = got.row(0);
+                let got: Vec<(u32, u64)> = cols
+                    .iter()
+                    .zip(vals)
+                    .map(|(&j, &v)| (j, value_bits(v)))
+                    .collect();
+                let want: Vec<(u32, u64)> =
+                    want.into_iter().map(|(j, v)| (j, value_bits(v))).collect();
+                assert_eq!(got, want, "{ctx}: sorted drain");
+            }
+        }
+    }
+}
+
+/// [`check_spa_rows`] for every semiring, when the shapes agree.
+fn check_spa(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+    if a.ncols() != b.nrows() {
+        return;
+    }
+    check_spa_rows::<MulAdd>(a, b, &format!("{what}/MulAdd"));
+    check_spa_rows::<AndOr>(a, b, &format!("{what}/AndOr"));
+    check_spa_rows::<MinAdd>(a, b, &format!("{what}/MinAdd"));
+    check_spa_rows::<ArilAdd>(a, b, &format!("{what}/ArilAdd"));
+}
+
+/// `tensor::spgemm(a, b)` against the oracle, and the production SPA
+/// against the stamp SPA, for every semiring.
 fn check_kernel(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+    check_spa(a, b, what);
     for s in SemiringOp::ALL {
         match (spgemm(a, b, s), oracle::spgemm(a, b, s)) {
             (Ok(got), Ok(want)) => assert_same_matrix(&got, &want, &format!("{what}/{s:?}")),
@@ -196,6 +249,7 @@ fn cancelling_rows_are_touched_and_dropped() {
             (5, 2, -1.0),
         ],
     );
+    check_kernel(&m.to_csr(), &m.to_csr(), "cancel");
     let c = spgemm(&m.to_csr(), &m.to_csr(), SemiringOp::MulAdd).unwrap();
     assert_eq!(c.row(0), (&[4u32][..], &[1.0][..]));
     assert_eq!(c.row_nnz(5), 0);
@@ -238,6 +292,7 @@ fn special_values_match_under_every_semiring() {
     entries.sort_by_key(|&(i, j, _)| (i, j));
     entries.dedup_by_key(|e| (e.0, e.1));
     let m = coo(n, entries);
+    check_kernel(&m.to_csr(), &m.to_csr(), "special");
     for t_rows in [1, 5, 12] {
         check_stage(&m, &config(), t_rows, "special");
     }

@@ -23,8 +23,10 @@ use crate::{CsrMatrix, TensorError};
 /// Runs in `O(Σ_i Σ_{k ∈ A[i]} nnz(B[k]) + Σ_i f_i log f_i)` time, where
 /// `f_i` is the number of distinct columns row `i` touches (the per-row
 /// sort of the [`Spa`] drain), with `O(B.ncols())` scratch: every scalar
-/// product costs O(1), because a per-row stamp array, not a scan of the
-/// touched-column list, detects the first touch of a column. The
+/// product costs O(1) with no data-dependent branch, because a per-row
+/// stamp array, not a scan of the touched-column list, detects the
+/// first touch of a column, and the touched list grows by that test's
+/// 0-or-1 outcome. The
 /// semiring is dispatched once per call to a kernel monomorphised over
 /// [`Semiring`]; each `C[i][j]` is folded as `acc = acc ⊕ (A[i][k] ⊗
 /// B[k][j])` in ascending `k` order.
@@ -87,6 +89,12 @@ fn gustavson<R: Semiring>(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 /// dense value row, the list of columns the row has touched, and a
 /// per-column stamp that makes "first touch" an O(1) test.
 ///
+/// The touched list is appended without a branch: every product writes
+/// its column to the next free slot and advances the length only on a
+/// first touch, so a repeat touch leaves a write that the next append
+/// overwrites. The list has one slot more than the row has columns to
+/// take that write when every column is already touched.
+///
 /// Feed a row with [`scatter`](Spa::scatter), once per `A[i][k]`, then
 /// close it with [`drain_sorted`](Spa::drain_sorted) (emit `C[i][*]`) or
 /// [`drain_count`](Spa::drain_count) (count it only). Both drains reset
@@ -107,10 +115,14 @@ fn gustavson<R: Semiring>(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 #[derive(Debug, Clone)]
 pub struct Spa<R> {
     acc: Vec<f64>,
-    /// `mark[j] == stamp` iff column `j` is in `touched` for this row.
+    /// `mark[j] == stamp` iff column `j` is in `touched[..len]` for this
+    /// row.
     mark: Vec<u32>,
     stamp: u32,
+    /// `ncols + 1` slots; the row's columns in first-touch order are
+    /// `touched[..len]`.
     touched: Vec<u32>,
+    len: usize,
     semiring: PhantomData<R>,
 }
 
@@ -121,7 +133,8 @@ impl<R: Semiring> Spa<R> {
             acc: vec![R::ZERO; ncols as usize],
             mark: vec![0; ncols as usize],
             stamp: 1,
-            touched: Vec::new(),
+            touched: vec![0; ncols as usize + 1],
+            len: 0,
             semiring: PhantomData,
         }
     }
@@ -130,29 +143,32 @@ impl<R: Semiring> Spa<R> {
     /// one row `B[k]` (`b_cols`, `b_vals`).
     #[inline]
     pub fn scatter(&mut self, a_ik: f64, b_cols: &[u32], b_vals: &[f64]) {
+        let stamp = self.stamp;
+        let mut len = self.len;
         for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
             let j_us = j as usize;
-            if self.mark[j_us] != self.stamp {
-                self.mark[j_us] = self.stamp;
-                self.touched.push(j);
-            }
+            self.touched[len] = j;
+            len += usize::from(self.mark[j_us] != stamp);
+            self.mark[j_us] = stamp;
             self.acc[j_us] = R::add(self.acc[j_us], R::mul(a_ik, b_kj));
         }
+        self.len = len;
     }
 
     /// Distinct columns the current row has touched — the live
     /// accumulator width, whether or not they survive the drain.
     pub fn live(&self) -> usize {
-        self.touched.len()
+        self.len
     }
 
     /// Closes the current row: appends its entries `(j, v)` with
     /// `v != R::ZERO` to `rows` in ascending column order, resets the
     /// accumulator, and returns how many entries it appended.
     pub fn drain_sorted(&mut self, rows: &mut CsrRows) -> u64 {
-        self.touched.sort_unstable();
+        let touched = &mut self.touched[..self.len];
+        touched.sort_unstable();
         let before = rows.col_idx.len();
-        for &j in &self.touched {
+        for &j in &*touched {
             let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
             if v != R::ZERO {
                 rows.col_idx.push(j);
@@ -169,7 +185,7 @@ impl<R: Semiring> Spa<R> {
     /// touch order, and resets the accumulator.
     pub fn drain_count(&mut self) -> u64 {
         let mut count = 0;
-        for &j in &self.touched {
+        for &j in &self.touched[..self.len] {
             let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
             count += u64::from(v != R::ZERO);
         }
@@ -178,7 +194,7 @@ impl<R: Semiring> Spa<R> {
     }
 
     fn next_row(&mut self) {
-        self.touched.clear();
+        self.len = 0;
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             self.mark.fill(0);
@@ -367,5 +383,28 @@ mod tests {
         let mut rows = CsrRows::new();
         assert_eq!(spa.drain_sorted(&mut rows), 1);
         assert_eq!(rows.into_csr(3).row(0), (&[1u32][..], &[3.0][..]));
+    }
+
+    #[test]
+    fn full_row_then_repeat_uses_the_spare_slot() {
+        // The row touches every column, so `len == ncols` and the repeat
+        // touch of column 2 writes the spare slot without appending.
+        let ncols = 5u32;
+        let mut spa = Spa::<sparsepipe_semiring::MulAdd>::new(ncols);
+        let cols: Vec<u32> = (0..ncols).rev().collect();
+        spa.scatter(1.0, &cols, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(spa.live(), ncols as usize);
+        spa.scatter(2.0, &[2], &[10.0]);
+        assert_eq!(spa.live(), ncols as usize);
+        let mut rows = CsrRows::new();
+        assert_eq!(spa.drain_sorted(&mut rows), u64::from(ncols));
+        spa.scatter(1.0, &[4, 4], &[1.0, -1.0]);
+        assert_eq!(spa.live(), 1);
+        assert_eq!(spa.drain_count(), 0, "column 4 cancels");
+        let c = rows.into_csr(ncols);
+        assert_eq!(
+            c.row(0),
+            (&[0u32, 1, 2, 3, 4][..], &[5.0, 4.0, 23.0, 2.0, 1.0][..])
+        );
     }
 }

@@ -1509,13 +1509,20 @@ pub mod spgemm_oracle {
     //! its fill. The production kernel must match them bit for bit —
     //! values, statistics, timing and trace events
     //! (`crates/core/tests/spgemm_differential.rs`).
+    //!
+    //! [`StampSpa`] is the linear-time accumulator as it was before its
+    //! first-touch append became branch-free: the "before" of the
+    //! `spgemm` bench and a second oracle for the production
+    //! [`sparsepipe_tensor::spgemm::Spa`], row by row.
+
+    use std::marker::PhantomData;
 
     use sparsepipe_core::pipeline::{PassResult, StepSample};
     use sparsepipe_core::spgemm::{
         MxmOutcome, MxmParams, MxmStats, ACC_BYTES_PER_COL, RESIDENCY_FRACTION,
     };
     use sparsepipe_core::{MatrixArena, RowSet, SparsepipeConfig, TrafficBreakdown};
-    use sparsepipe_semiring::SemiringOp;
+    use sparsepipe_semiring::{Semiring, SemiringOp};
     use sparsepipe_tensor::{CooMatrix, CsrMatrix, TensorError};
     use sparsepipe_trace::{TraceEvent, TraceSink, TrafficClass};
 
@@ -1524,6 +1531,84 @@ pub mod spgemm_oracle {
 
     /// Pipeline fill/drain steps of the mxm stage's timing model.
     const PIPELINE_STAGES: f64 = 3.0;
+
+    /// The stamp-array SPA with a branch on every first touch: a dense
+    /// value row, a growable touched-column list, and a per-column stamp.
+    #[derive(Debug, Clone)]
+    pub struct StampSpa<R> {
+        acc: Vec<f64>,
+        mark: Vec<u32>,
+        stamp: u32,
+        touched: Vec<u32>,
+        semiring: PhantomData<R>,
+    }
+
+    impl<R: Semiring> StampSpa<R> {
+        /// An empty accumulator for output rows of `ncols` columns.
+        pub fn new(ncols: u32) -> Self {
+            StampSpa {
+                acc: vec![R::ZERO; ncols as usize],
+                mark: vec![0; ncols as usize],
+                stamp: 1,
+                touched: Vec::new(),
+                semiring: PhantomData,
+            }
+        }
+
+        /// Accumulates `a_ik ⊗ B[k][j]` into column `j` for every entry
+        /// of one row `B[k]`.
+        #[inline]
+        pub fn scatter(&mut self, a_ik: f64, b_cols: &[u32], b_vals: &[f64]) {
+            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                let j_us = j as usize;
+                if self.mark[j_us] != self.stamp {
+                    self.mark[j_us] = self.stamp;
+                    self.touched.push(j);
+                }
+                self.acc[j_us] = R::add(self.acc[j_us], R::mul(a_ik, b_kj));
+            }
+        }
+
+        /// Distinct columns the current row has touched.
+        pub fn live(&self) -> usize {
+            self.touched.len()
+        }
+
+        /// Closes the row: its non-zero entries in ascending column
+        /// order.
+        pub fn drain_sorted(&mut self) -> Vec<(u32, f64)> {
+            self.touched.sort_unstable();
+            let mut row = Vec::new();
+            for &j in &self.touched {
+                let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
+                if v != R::ZERO {
+                    row.push((j, v));
+                }
+            }
+            self.next_row();
+            row
+        }
+
+        /// Closes the row, counting its non-zero entries in touch order.
+        pub fn drain_count(&mut self) -> u64 {
+            let mut count = 0;
+            for &j in &self.touched {
+                let v = std::mem::replace(&mut self.acc[j as usize], R::ZERO);
+                count += u64::from(v != R::ZERO);
+            }
+            self.next_row();
+            count
+        }
+
+        fn next_row(&mut self) {
+            self.touched.clear();
+            self.stamp = self.stamp.wrapping_add(1);
+            if self.stamp == 0 {
+                self.mark.fill(0);
+                self.stamp = 1;
+            }
+        }
+    }
 
     /// Reference for [`sparsepipe_tensor::spgemm::spgemm`].
     ///
