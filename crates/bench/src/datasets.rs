@@ -15,8 +15,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use sparsepipe_core::MatrixCache;
-use sparsepipe_tensor::{reorder, CooMatrix, MatrixId, MatrixStats};
+use sparsepipe_core::{MatrixCache, ReorderKind};
+use sparsepipe_tensor::{CooMatrix, MatrixId, MatrixStats};
 
 use crate::error::BenchError;
 use crate::executor::Executor;
@@ -397,9 +397,8 @@ pub struct ScaledDataset {
     pub scale: u64,
     /// The generated matrix (original vertex order).
     pub matrix: CooMatrix,
-    /// The matrix after GraphOrder row reordering (§IV-E1), used as the
-    /// default Sparsepipe input so the per-call simulation does not repeat
-    /// the offline preprocessing.
+    /// The matrix after GraphOrder row reordering (§IV-E1), derived once
+    /// here as offline preprocessing: the default Sparsepipe input.
     pub reordered: CooMatrix,
     /// Structural statistics of the original matrix.
     pub stats: MatrixStats,
@@ -409,8 +408,7 @@ impl ScaledDataset {
     /// Derives the reordered variant and statistics for a loaded matrix
     /// — the one constructor every [`MatrixSource`] funnels through.
     fn from_matrix(id: MatrixId, scale: u64, matrix: CooMatrix) -> Self {
-        let perm = reorder::graph_order(&matrix.to_csr(), 64);
-        let reordered = matrix.permute_symmetric(&perm);
+        let reordered = ReorderKind::GraphOrder.apply(&matrix);
         let stats = MatrixStats::compute(&matrix);
         ScaledDataset {
             id,

@@ -175,10 +175,6 @@ impl Serialize for CacheTelemetry {
         serde::Value::Map(vec![
             ("hits".to_string(), self.hits.to_value()),
             ("misses".to_string(), self.misses.to_value()),
-            (
-                "reordered_bytes".to_string(),
-                self.bytes.reordered.to_value(),
-            ),
             ("plan_bytes".to_string(), self.bytes.plans.to_value()),
             ("arena_bytes".to_string(), self.bytes.arenas.to_value()),
             ("profile_bytes".to_string(), self.bytes.profiles.to_value()),
@@ -385,8 +381,8 @@ impl Executor {
     }
 
     /// The sweep-level [`MatrixCache`] shared by every point this executor
-    /// runs: derived per-matrix artifacts (reordered matrix, pass plans,
-    /// CSR/CSC arenas) are built once and reused across the whole sweep.
+    /// runs: derived per-matrix artifacts (pass plans, CSR/CSC arenas,
+    /// matrix profiles) are built once and reused across the whole sweep.
     pub fn cache(&self) -> &Arc<MatrixCache> {
         &self.cache
     }
@@ -875,7 +871,7 @@ mod tests {
         assert!(cache.bytes.plans > 0);
         assert_eq!(
             cache.bytes.total(),
-            cache.bytes.reordered + cache.bytes.plans + cache.bytes.arenas + cache.bytes.profiles
+            cache.bytes.plans + cache.bytes.arenas + cache.bytes.profiles
         );
         let json = serde_json::to_string(&t).unwrap();
         assert!(

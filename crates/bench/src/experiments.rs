@@ -9,7 +9,7 @@
 use std::path::Path;
 
 use sparsepipe_apps::{registry, StaApp};
-use sparsepipe_core::{MemoryConfig, Preprocessing, ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe_core::{MemoryConfig, Preprocessing, SimRequest, SparsepipeConfig};
 use sparsepipe_tensor::{livesweep, BlockedDualStorage, DualStorage, MatrixId};
 
 use crate::datasets::{DataContext, ScaledDataset, VertexOrder};
@@ -433,10 +433,7 @@ pub fn fig19(ctx: &DataContext, exec: &Executor) -> Result<Report, BenchError> {
         let program = sweep::compile(&app)?;
         let cfg = SparsepipeConfig::iso_gpu()
             .with_buffer(d.buffer_bytes())
-            .with_preprocessing(Preprocessing {
-                blocked,
-                reorder: ReorderKind::None,
-            });
+            .with_preprocessing(Preprocessing { blocked });
         let (matrix, key) = d.keyed(order);
         let request = SimRequest::new(&program, matrix)
             .iterations(app.default_iterations)

@@ -9,8 +9,8 @@ use sparsepipe_baselines::ideal::IdealAccelerator;
 use sparsepipe_baselines::oracle::OracleAccelerator;
 use sparsepipe_baselines::{BaselineReport, WorkloadInstance};
 use sparsepipe_core::{
-    MatrixCache, MatrixProfile, PassPlan, Preprocessing, ReorderKind, SimOutcome, SimReport,
-    SimRequest, SimTelemetry, SparsepipeConfig,
+    MatrixCache, MatrixProfile, PassPlan, ReorderKind, SimOutcome, SimReport, SimRequest,
+    SimTelemetry, SparsepipeConfig,
 };
 use sparsepipe_frontend::SparsepipeProgram;
 use sparsepipe_tensor::{CooMatrix, MatrixId};
@@ -182,16 +182,12 @@ pub struct SweepOutcome {
     pub pruned: Vec<crate::executor::PrunedPoint>,
 }
 
-/// The Sparsepipe configuration used by the sweep for a dataset: blocked
-/// format on, reordering pre-applied to the input (so the per-run
-/// simulation does not repeat the offline preprocessing).
+/// The Sparsepipe configuration used by the sweep for a dataset: the
+/// iso-GPU preset (blocked format on) with the dataset's scaled buffer.
+/// The sweep simulates the dataset's reordered matrix, so reordering is
+/// done once per dataset, offline.
 pub fn sparsepipe_config(dataset: &ScaledDataset) -> SparsepipeConfig {
-    SparsepipeConfig::iso_gpu()
-        .with_buffer(dataset.buffer_bytes())
-        .with_preprocessing(Preprocessing {
-            blocked: true,
-            reorder: ReorderKind::None,
-        })
+    SparsepipeConfig::iso_gpu().with_buffer(dataset.buffer_bytes())
 }
 
 /// CPU model with capacities *and* fixed per-op overheads scaled to match
@@ -510,7 +506,7 @@ pub(crate) fn cached_profile(
     matrix: &CooMatrix,
 ) -> Arc<MatrixProfile> {
     let t = cfg.subtensor_auto(matrix.ncols(), matrix.nnz());
-    let kind = cfg.preprocessing.reorder;
+    let kind = ReorderKind::None;
     cache.profile(key, kind, t, || {
         MatrixProfile::build(&cache.plan(key, kind, t, || PassPlan::build(matrix, t)))
     })

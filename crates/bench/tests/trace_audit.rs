@@ -8,7 +8,7 @@
 
 use sparsepipe_bench::datasets::DatasetSpec;
 use sparsepipe_bench::sweep::EvalRequest;
-use sparsepipe_core::{Preprocessing, ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe_core::{SimRequest, SparsepipeConfig};
 use sparsepipe_tensor::MatrixId;
 use sparsepipe_trace::{MemorySink, TraceAudit};
 
@@ -43,12 +43,7 @@ fn odd_iteration_tail_audits_exactly() {
     let dataset = DatasetSpec::new(MatrixId::Bu, 256).load().unwrap();
     let app = sparsepipe_apps::registry::by_name("pr").unwrap();
     let program = app.compile().unwrap();
-    let cfg = SparsepipeConfig::iso_gpu()
-        .with_buffer(dataset.buffer_bytes())
-        .with_preprocessing(Preprocessing {
-            blocked: true,
-            reorder: ReorderKind::None,
-        });
+    let cfg = SparsepipeConfig::iso_gpu().with_buffer(dataset.buffer_bytes());
     for iters in [1usize, 7, 9] {
         let mut sink = MemorySink::new();
         let outcome = SimRequest::new(&program, &dataset.reordered)

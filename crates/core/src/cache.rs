@@ -2,8 +2,7 @@
 //! LRU eviction under a byte budget.
 //!
 //! Every simulation derives the same expensive, *pure* functions of its
-//! input matrix: the reordered matrix (GraphOrder / Vanilla
-//! preprocessing), the [`PassPlan`] at the configuration's sub-tensor
+//! input matrix: the [`PassPlan`] at the configuration's sub-tensor
 //! width, the [`MatrixArena`] slice tables, and the [`MatrixProfile`]
 //! statics. The engine takes all of them from a [`MatrixCache`]: a
 //! shared one (via `Arc`, across the sweep executor's workers or the
@@ -12,6 +11,10 @@
 //! private cache for its own length. Results are bit-identical either
 //! way because every cached function is deterministic in its key.
 //!
+//! The cache never reorders: row reordering is offline preprocessing
+//! its callers apply before keying a matrix
+//! ([`ReorderKind::apply`](crate::ReorderKind::apply)).
+//!
 //! Keys are caller-derived ([`MatrixCache::key_for`]) rather than deep
 //! matrix hashes: the sweep labels each dataset once and folds the
 //! matrix's shape and population into the key, so distinct matrices
@@ -19,19 +22,19 @@
 //!
 //! # One table
 //!
-//! The four artifact families share one map from an `ArtifactKey` —
-//! the family, the matrix key, the reordering and (for plans and
-//! profiles) the sub-tensor width — to a type-erased slot, and one
-//! `get_or_build` holds the whole lookup sequence: hit, miss, build
-//! outside the lock, racing-insert check, insert, eviction. The typed
-//! lookups ([`MatrixCache::reordered`], [`MatrixCache::plan`],
-//! [`MatrixCache::arena`], [`MatrixCache::profile`]) only name their key
-//! and heap-size estimate.
+//! The three artifact families share one map from an `ArtifactKey` —
+//! the family, the matrix key and (for plans and profiles) the
+//! reordering the keyed matrix was derived under and the sub-tensor
+//! width — to a type-erased slot, and one `get_or_build` holds the
+//! whole lookup sequence: hit, wait on an in-flight build, miss, build
+//! outside the lock, insert, eviction. The typed lookups
+//! ([`MatrixCache::plan`], [`MatrixCache::arena`],
+//! [`MatrixCache::profile`]) only name their key and heap-size estimate.
 //!
 //! # Bounding and eviction
 //!
 //! A cache built with [`MatrixCache::with_budget`] evicts
-//! least-recently-used entries (across all four artifact families, by a
+//! least-recently-used entries (across all three artifact families, by a
 //! global logical clock) whenever an insert pushes the resident total
 //! over the budget. The entry being inserted is never its own victim,
 //! so a single artifact larger than the budget still caches (and is
@@ -39,16 +42,18 @@
 //! `max(budget, largest single artifact)`. The default
 //! [`MatrixCache::new`] cache is unbounded and never evicts.
 //!
-//! All bookkeeping — the artifact table, the LRU index, hit/miss/
-//! eviction counters, and per-family byte totals — lives behind one
-//! mutex, so counters cannot drift from residency under concurrent
-//! insert+evict. Artifact *builds* still run outside the lock:
-//! concurrent first requests may build redundantly and the first insert
-//! wins, which is safe because every cached function is pure.
+//! All bookkeeping — the artifact table, the LRU index, the set of keys
+//! being built, hit/miss/eviction counters, and per-family byte totals —
+//! lives behind one mutex, so counters cannot drift from residency under
+//! concurrent insert+evict. Artifact *builds* run outside the lock but
+//! once per key: the first request for a missing key marks it as
+//! building, and concurrent requests for that key wait for the build and
+//! then count as hits. A build that panics releases its waiters, and the
+//! next request builds again.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use sparsepipe_tensor::CooMatrix;
 
@@ -57,13 +62,13 @@ use crate::config::ReorderKind;
 use crate::plan::PassPlan;
 use crate::profile::MatrixProfile;
 
-/// Names one cached artifact: its family, the matrix key, the reordering
-/// it was derived under, and (plans and profiles) the sub-tensor width.
+/// Names one cached artifact: its family, the matrix key, and (plans and
+/// profiles) the reordering the keyed matrix was derived under and the
+/// sub-tensor width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ArtifactKey {
-    Reordered(u64, ReorderKind),
     Plan(u64, ReorderKind, usize),
-    Arena(u64, ReorderKind),
+    Arena(u64),
     Profile(u64, ReorderKind, usize),
 }
 
@@ -88,6 +93,9 @@ struct CacheState {
     /// unique (the logical clock only ticks under the lock), so the
     /// smallest key is *the* least recently used entry.
     lru: BTreeMap<u64, ArtifactKey>,
+    /// Keys whose build is in flight; requests for them wait on
+    /// [`MatrixCache::built`] instead of building again.
+    building: HashSet<ArtifactKey>,
     bytes: CacheBytes,
     hits: u64,
     misses: u64,
@@ -125,13 +133,16 @@ impl CacheState {
     }
 }
 
-/// Shared cache of reordered matrices, pass plans, arenas, and matrix
-/// profiles, keyed by a caller-stable matrix key. Thread-safe: the sweep
-/// executor and the serve daemon clone one `Arc<MatrixCache>` into every
-/// worker. Unbounded by default; see [`MatrixCache::with_budget`].
+/// Shared cache of pass plans, arenas, and matrix profiles, keyed by a
+/// caller-stable matrix key. Thread-safe: the sweep executor and the
+/// serve daemon clone one `Arc<MatrixCache>` into every worker, and each
+/// key is built once however many workers ask for it. Unbounded by
+/// default; see [`MatrixCache::with_budget`].
 #[derive(Debug, Default)]
 pub struct MatrixCache {
     state: Mutex<CacheState>,
+    /// Notified whenever an in-flight build ends, by insert or by panic.
+    built: Condvar,
     budget: Option<u64>,
 }
 
@@ -140,8 +151,6 @@ pub struct MatrixCache {
 /// totals track *resident* bytes, not lifetime inserts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBytes {
-    /// Bytes held by cached reordered matrices.
-    pub reordered: u64,
     /// Bytes held by cached pass plans.
     pub plans: u64,
     /// Bytes held by cached arenas.
@@ -153,22 +162,17 @@ pub struct CacheBytes {
 impl CacheBytes {
     /// Total bytes across all families.
     pub fn total(&self) -> u64 {
-        self.reordered + self.plans + self.arenas + self.profiles
+        self.plans + self.arenas + self.profiles
     }
 
     /// The total `key`'s family is accounted under.
     fn family(&mut self, key: ArtifactKey) -> &mut u64 {
         match key {
-            ArtifactKey::Reordered(..) => &mut self.reordered,
             ArtifactKey::Plan(..) => &mut self.plans,
             ArtifactKey::Arena(..) => &mut self.arenas,
             ArtifactKey::Profile(..) => &mut self.profiles,
         }
     }
-}
-
-fn coo_heap_bytes(m: &CooMatrix) -> u64 {
-    (m.nnz() * std::mem::size_of::<(u32, u32, f64)>()) as u64
 }
 
 fn plan_heap_bytes(p: &PassPlan) -> u64 {
@@ -192,6 +196,21 @@ fn typed<T: Send + Sync + 'static>(value: Artifact) -> Arc<T> {
         .expect("an artifact key names one artifact type")
 }
 
+/// Marks `key` as being built for as long as it lives: dropping it — after
+/// the insert, or while a panicking build unwinds — clears the mark and
+/// wakes the requests waiting for the key.
+struct InFlight<'a> {
+    cache: &'a MatrixCache,
+    key: ArtifactKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().building.remove(&self.key);
+        self.cache.built.notify_all();
+    }
+}
+
 impl MatrixCache {
     /// An empty, unbounded cache (never evicts).
     pub fn new() -> Self {
@@ -205,8 +224,8 @@ impl MatrixCache {
     /// artifact)`.
     pub fn with_budget(budget_bytes: u64) -> Self {
         MatrixCache {
-            state: Mutex::new(CacheState::default()),
             budget: Some(budget_bytes),
+            ..MatrixCache::default()
         }
     }
 
@@ -216,9 +235,7 @@ impl MatrixCache {
     }
 
     fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Derives a cache key for `matrix` labelled `label` (e.g. the
@@ -247,9 +264,10 @@ impl MatrixCache {
     }
 
     /// The artifact `key`: a hit re-stamps it as most recently used; a
-    /// miss runs `build` outside the lock, inserts the result (unless a
-    /// racing build inserted first — results are identical by purity)
-    /// accounted at `heap_bytes` of it, and evicts over the budget.
+    /// request for a key another thread is building waits for that build
+    /// and counts as a hit; a miss marks the key as building, runs
+    /// `build` outside the lock, inserts the result accounted at
+    /// `heap_bytes` of it, and evicts over the budget.
     fn get_or_build<T: Send + Sync + 'static>(
         &self,
         key: ArtifactKey,
@@ -258,17 +276,22 @@ impl MatrixCache {
     ) -> Arc<T> {
         {
             let mut s = self.lock();
-            if let Some(value) = s.touch(key) {
-                s.hits += 1;
-                return typed(value);
+            loop {
+                if let Some(value) = s.touch(key) {
+                    s.hits += 1;
+                    return typed(value);
+                }
+                if !s.building.contains(&key) {
+                    break;
+                }
+                s = self.built.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
             s.misses += 1;
+            s.building.insert(key);
         }
+        let _release = InFlight { cache: self, key };
         let built = Arc::new(build());
         let mut s = self.lock();
-        if let Some(value) = s.touch(key) {
-            return typed(value);
-        }
         let bytes = heap_bytes(&built);
         s.tick += 1;
         let stamp = s.tick;
@@ -285,24 +308,15 @@ impl MatrixCache {
         if let Some(budget) = self.budget {
             s.evict_over_budget(budget, stamp);
         }
+        drop(s); // `_release` takes the lock again when it drops
         built
     }
 
-    /// The matrix `key` reordered under `kind`, building it with `build`
-    /// on first request. `build` must be a pure function of the key —
-    /// it runs outside the cache lock, so concurrent first requests may
-    /// build redundantly (the first inserted wins; all results are
-    /// identical by purity).
-    pub fn reordered<F>(&self, key: u64, kind: ReorderKind, build: F) -> Arc<CooMatrix>
-    where
-        F: FnOnce() -> CooMatrix,
-    {
-        self.get_or_build(ArtifactKey::Reordered(key, kind), build, coo_heap_bytes)
-    }
-
-    /// The [`PassPlan`] of matrix `key` (under reordering `kind`) at
-    /// sub-tensor width `t_cols`, building on first request. Same purity
-    /// contract as [`MatrixCache::reordered`].
+    /// The [`PassPlan`] of matrix `key` at sub-tensor width `t_cols`,
+    /// building it with `build` on first request. `kind` is the
+    /// reordering the keyed matrix was derived under. `build` must be a
+    /// pure function of the key: concurrent requests wait for the first
+    /// one's build and share its result.
     pub fn plan<F>(&self, key: u64, kind: ReorderKind, t_cols: usize, build: F) -> Arc<PassPlan>
     where
         F: FnOnce() -> PassPlan,
@@ -310,9 +324,10 @@ impl MatrixCache {
         self.get_or_build(ArtifactKey::Plan(key, kind, t_cols), build, plan_heap_bytes)
     }
 
-    /// The [`MatrixProfile`] of matrix `key` (under reordering `kind`) at
-    /// sub-tensor width `t_cols`, building on first request. Same purity
-    /// contract as [`MatrixCache::reordered`].
+    /// The [`MatrixProfile`] of matrix `key` at sub-tensor width
+    /// `t_cols`, building on first request. `kind` is the reordering the
+    /// keyed matrix was derived under. Same purity contract as
+    /// [`MatrixCache::plan`].
     pub fn profile<F>(
         &self,
         key: u64,
@@ -330,26 +345,13 @@ impl MatrixCache {
         )
     }
 
-    /// The [`MatrixArena`] of the unreordered matrix `key`, building on
-    /// first request. Same purity contract as [`MatrixCache::reordered`].
+    /// The [`MatrixArena`] of matrix `key`, building on first request.
+    /// Same purity contract as [`MatrixCache::plan`].
     pub fn arena<F>(&self, key: u64, build: F) -> Arc<MatrixArena>
     where
         F: FnOnce() -> MatrixArena,
     {
-        self.reordered_arena(key, ReorderKind::None, build)
-    }
-
-    /// The [`MatrixArena`] of matrix `key` reordered under `kind`.
-    pub(crate) fn reordered_arena<F>(
-        &self,
-        key: u64,
-        kind: ReorderKind,
-        build: F,
-    ) -> Arc<MatrixArena>
-    where
-        F: FnOnce() -> MatrixArena,
-    {
-        self.get_or_build(ArtifactKey::Arena(key, kind), build, arena_heap_bytes)
+        self.get_or_build(ArtifactKey::Arena(key), build, arena_heap_bytes)
     }
 
     /// Lookups answered from the cache so far.
@@ -435,8 +437,10 @@ mod tests {
         let m = gen::uniform(32, 32, 100, 5);
         let cache = MatrixCache::new();
         let key = MatrixCache::key_for("t", &m);
-        let plain = cache.reordered(key, ReorderKind::None, || m.clone());
-        let tagged = cache.reordered(key, ReorderKind::GraphOrder, || m.transpose());
+        let plain = cache.plan(key, ReorderKind::None, 8, || PassPlan::build(&m, 8));
+        let tagged = cache.plan(key, ReorderKind::GraphOrder, 8, || {
+            PassPlan::build(&m.transpose(), 8)
+        });
         assert!(!Arc::ptr_eq(&plain, &tagged));
     }
 
@@ -469,16 +473,13 @@ mod tests {
         // hits do not grow the accounted bytes
         cache.plan(key, ReorderKind::None, 8, || panic!("must hit"));
         assert_eq!(cache.bytes(), after_plan);
-        cache.reordered(key, ReorderKind::None, || m.clone());
         cache.arena(key, || MatrixArena::from_coo(&m));
         let plan = cache.plan(key, ReorderKind::None, 8, || panic!("must hit"));
         cache.profile(key, ReorderKind::None, 8, || MatrixProfile::build(&plan));
         let all = cache.bytes();
-        assert!(all.reordered > 0 && all.arenas > 0 && all.profiles > 0);
-        assert_eq!(
-            all.total(),
-            all.reordered + all.plans + all.arenas + all.profiles
-        );
+        assert!(all.arenas > 0 && all.profiles > 0);
+        assert_eq!(all.plans, after_plan.plans);
+        assert_eq!(all.total(), all.plans + all.arenas + all.profiles);
     }
 
     #[test]
@@ -498,7 +499,7 @@ mod tests {
         assert_eq!(cache.budget(), None);
         for i in 0..16u64 {
             let m = gen::uniform(32, 32, 100 + i as usize, i);
-            cache.reordered(i, ReorderKind::None, || m);
+            cache.arena(i, || MatrixArena::from_coo(&m));
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.resident_entries(), 16);
@@ -507,79 +508,135 @@ mod tests {
     #[test]
     fn budgeted_cache_evicts_lru_and_reclaims_bytes() {
         let m = gen::uniform(64, 64, 300, 3);
-        let one = coo_heap_bytes(&m);
-        // room for exactly two reordered copies
+        let arena = || MatrixArena::from_coo(&m);
+        let one = arena_heap_bytes(&arena());
+        // room for exactly two arenas
         let cache = MatrixCache::with_budget(2 * one);
         assert_eq!(cache.budget(), Some(2 * one));
-        cache.reordered(1, ReorderKind::None, || m.clone());
-        cache.reordered(2, ReorderKind::None, || m.clone());
+        cache.arena(1, arena);
+        cache.arena(2, arena);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.bytes().total(), 2 * one);
         // key 1 is LRU → inserting key 3 evicts it
-        cache.reordered(3, ReorderKind::None, || m.clone());
+        cache.arena(3, arena);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes().total(), 2 * one);
         assert_eq!(cache.resident_entries(), 2);
         // key 2 survived (hit), key 1 rebuilds (miss)
         let before = cache.misses();
-        cache.reordered(2, ReorderKind::None, || panic!("must hit"));
-        cache.reordered(1, ReorderKind::None, || m.clone());
+        cache.arena(2, || panic!("must hit"));
+        cache.arena(1, arena);
         assert_eq!(cache.misses(), before + 1);
     }
 
     #[test]
     fn touching_updates_lru_order() {
         let m = gen::uniform(64, 64, 300, 3);
-        let one = coo_heap_bytes(&m);
+        let arena = || MatrixArena::from_coo(&m);
+        let one = arena_heap_bytes(&arena());
         let cache = MatrixCache::with_budget(2 * one);
-        cache.reordered(1, ReorderKind::None, || m.clone());
-        cache.reordered(2, ReorderKind::None, || m.clone());
+        cache.arena(1, arena);
+        cache.arena(2, arena);
         // touch 1 so 2 becomes the LRU victim
-        cache.reordered(1, ReorderKind::None, || panic!("must hit"));
-        cache.reordered(3, ReorderKind::None, || m.clone());
-        cache.reordered(1, ReorderKind::None, || panic!("1 must survive"));
+        cache.arena(1, || panic!("must hit"));
+        cache.arena(3, arena);
+        cache.arena(1, || panic!("1 must survive"));
         let before = cache.misses();
-        cache.reordered(2, ReorderKind::None, || m.clone());
+        cache.arena(2, arena);
         assert_eq!(cache.misses(), before + 1, "2 must have been evicted");
     }
 
     #[test]
     fn oversized_entry_still_caches_and_is_bounded_by_itself() {
         let m = gen::uniform(64, 64, 300, 3);
-        let one = coo_heap_bytes(&m);
+        let arena = || MatrixArena::from_coo(&m);
+        let one = arena_heap_bytes(&arena());
         let cache = MatrixCache::with_budget(one / 2);
-        cache.reordered(1, ReorderKind::None, || m.clone());
+        cache.arena(1, arena);
         // the oversized entry is protected from its own insert pass
         assert_eq!(cache.resident_entries(), 1);
         assert_eq!(cache.bytes().total(), one);
         // ... but is evicted by the next insert
-        cache.reordered(2, ReorderKind::None, || m.clone());
+        cache.arena(2, arena);
         assert_eq!(cache.resident_entries(), 1);
         assert!(cache.evictions() >= 1);
         let miss_before = cache.misses();
-        cache.reordered(1, ReorderKind::None, || m.clone());
+        cache.arena(1, arena);
         assert_eq!(cache.misses(), miss_before + 1);
     }
 
     #[test]
     fn eviction_crosses_families_by_global_lru() {
         let m = gen::uniform(64, 64, 300, 3);
-        let coo = coo_heap_bytes(&m);
+        let plan = plan_heap_bytes(&PassPlan::build(&m, 8));
         let arena = arena_heap_bytes(&MatrixArena::from_coo(&m));
-        assert!(coo <= arena, "test relies on arena >= coo");
+        assert!(plan <= arena, "test relies on arena >= plan");
         let cache = MatrixCache::with_budget(2 * arena);
         cache.arena(1, || MatrixArena::from_coo(&m));
-        cache.reordered(1, ReorderKind::None, || m.clone());
+        cache.plan(1, ReorderKind::None, 8, || PassPlan::build(&m, 8));
         assert_eq!(cache.evictions(), 0);
         // inserting a new arena evicts the globally-oldest entry — the
-        // first arena — not the younger reordered matrix in the other
-        // family
+        // first arena — not the younger plan in the other family
         cache.arena(2, || MatrixArena::from_coo(&m));
         assert_eq!(cache.evictions(), 1);
-        cache.reordered(1, ReorderKind::None, || panic!("reordered 1 must survive"));
+        cache.plan(1, ReorderKind::None, 8, || panic!("plan 1 must survive"));
         let before = cache.misses();
         cache.arena(1, || MatrixArena::from_coo(&m));
         assert_eq!(cache.misses(), before + 1, "arena 1 must be evicted");
-        assert!(cache.bytes().total() <= 2 * arena + coo);
+        assert!(cache.bytes().total() <= 2 * arena + plan);
+    }
+
+    #[test]
+    fn concurrent_requests_build_a_key_once() {
+        const THREADS: usize = 8;
+        let m = gen::uniform(64, 64, 300, 3);
+        let cache = MatrixCache::new();
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache.plan(7, ReorderKind::None, 8, || {
+                        builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        // hold the build open so the others arrive mid-build
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        PassPlan::build(&m, 8)
+                    });
+                });
+            }
+        });
+        assert_eq!(builds.into_inner(), 1, "the build closure must run once");
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        cache.audit_accounting();
+    }
+
+    #[test]
+    fn a_panicking_build_releases_its_waiters() {
+        let m = gen::uniform(64, 64, 300, 3);
+        let cache = MatrixCache::new();
+        let (started, in_build) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(|| {
+                cache.arena(1, || -> MatrixArena {
+                    started.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("build failed")
+                })
+            });
+            in_build.recv().unwrap();
+            // this request arrives mid-build, waits, and builds itself
+            // once the panicking build has released the key
+            let a = cache.arena(1, || MatrixArena::from_coo(&m));
+            assert_eq!(a.nnz(), m.nnz());
+            assert!(builder.join().is_err(), "the first build panicked");
+        });
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 0);
+        // after the panic the key is built and cached as usual
+        cache.arena(1, || panic!("must hit"));
+        assert_eq!(cache.hits(), 1);
+        cache.audit_accounting();
     }
 }

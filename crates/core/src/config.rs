@@ -1,6 +1,7 @@
 //! Simulated hardware configuration (Table II and §V-A of the paper).
 
 use serde::Serialize;
+use sparsepipe_tensor::{reorder, CooMatrix};
 
 /// Memory subsystem parameters (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -43,6 +44,10 @@ impl MemoryConfig {
 }
 
 /// Row-reordering preprocessing variant (§IV-E1).
+///
+/// Reordering is offline preprocessing: callers [`apply`](ReorderKind::apply)
+/// it to the matrix once, before simulating, and the engine simulates
+/// the matrix it is given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ReorderKind {
     /// No reordering.
@@ -53,31 +58,52 @@ pub enum ReorderKind {
     Vanilla,
 }
 
+impl ReorderKind {
+    /// `matrix` with rows and columns permuted by this reordering:
+    /// GraphOrder with a 64-vertex window, or vanilla with 3 sweeps.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sparsepipe_core::ReorderKind;
+    /// use sparsepipe_tensor::gen;
+    /// let m = gen::power_law(200, 1_000, 1.0, 0.4, 3);
+    /// let r = ReorderKind::GraphOrder.apply(&m);
+    /// assert_eq!(r.nnz(), m.nnz());
+    /// assert_eq!(ReorderKind::None.apply(&m), m);
+    /// ```
+    pub fn apply(self, matrix: &CooMatrix) -> CooMatrix {
+        let perm = match self {
+            ReorderKind::None => return matrix.clone(),
+            ReorderKind::GraphOrder => reorder::graph_order(&matrix.to_csr(), 64),
+            ReorderKind::Vanilla => reorder::vanilla_triangular(&matrix.to_csr(), 3),
+        };
+        matrix.permute_symmetric(&perm)
+    }
+}
+
 /// Offline preprocessing configuration (§IV-E), the subject of Fig 19/20a.
+///
+/// Row reordering, the other §IV-E optimization, is applied to the
+/// matrix before it reaches the engine ([`ReorderKind::apply`]); Fig 19
+/// crosses the dataset's vertex order with `blocked`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Preprocessing {
     /// Use the blocked dual sparse format (UOP-CP-CP) instead of plain
     /// dual CSC+CSR.
     pub blocked: bool,
-    /// Row-reordering algorithm.
-    pub reorder: ReorderKind,
 }
 
 impl Preprocessing {
-    /// Both optimizations on — the paper's default configuration.
+    /// The blocked format on — the paper's default configuration.
     pub fn full() -> Self {
-        Preprocessing {
-            blocked: true,
-            reorder: ReorderKind::GraphOrder,
-        }
+        Preprocessing { blocked: true }
     }
 
-    /// Neither optimization (the "Sparsepipe skeleton" of Fig 19).
+    /// The plain dual format (the "Sparsepipe skeleton" of Fig 19, when
+    /// run on the dataset's original vertex order).
     pub fn none() -> Self {
-        Preprocessing {
-            blocked: false,
-            reorder: ReorderKind::None,
-        }
+        Preprocessing { blocked: false }
     }
 }
 
@@ -92,6 +118,10 @@ pub enum EvictionPolicy {
 }
 
 /// Full Sparsepipe hardware configuration.
+///
+/// It fixes the hardware and the sparse format, not the matrix: the
+/// engine simulates the matrix in the vertex order its caller passes, so
+/// row reordering happens beforehand ([`ReorderKind::apply`]).
 ///
 /// # Example
 ///
@@ -123,7 +153,7 @@ pub struct SparsepipeConfig {
     pub eager_csr: bool,
     /// Eviction policy under buffer pressure.
     pub eviction: EvictionPolicy,
-    /// Offline data preprocessing.
+    /// Offline data preprocessing: the sparse format.
     pub preprocessing: Preprocessing,
     /// Fraction of a row's elements that must be consumed before the
     /// repacking pass reclaims its space (§IV-D3).

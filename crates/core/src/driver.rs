@@ -74,9 +74,8 @@ pub struct SimOutcome {
     pub report: SimReport,
     /// Host-side run telemetry (wall-clock, event counts).
     pub telemetry: SimTelemetry,
-    /// The scheduling decisions the engine made (OEI class, preprocessing
-    /// applied, passes and their repeats); [`Schedule::notes`] renders
-    /// them as text.
+    /// The scheduling decisions the engine made (OEI class, passes and
+    /// their repeats); [`Schedule::notes`] renders them as text.
     pub schedule: Schedule,
     /// SpGEMM statistics (intermediate nnz, accumulator peak, expansion
     /// factor) when the schedule ran the Gustavson mxm stage; `None` for
@@ -136,8 +135,7 @@ impl<'a, S: TraceSink> SimRequest<'a, S> {
     }
 
     /// Attaches a shared [`MatrixCache`](crate::MatrixCache): the engine
-    /// reuses the reordered matrix, arena and pass plan cached under
-    /// `key` (derive it with
+    /// reuses the arena and pass plan cached under `key` (derive it with
     /// [`MatrixCache::key_for`](crate::MatrixCache::key_for) for this
     /// request's matrix) instead of re-deriving them. Without one, the
     /// run derives them into a private cache that lives as long as the

@@ -1,8 +1,8 @@
-//! The top-level simulator: pass scheduling, preprocessing, fallbacks, and
-//! report assembly.
+//! The top-level simulator: pass scheduling, fallbacks, and report
+//! assembly.
 
 use sparsepipe_frontend::SparsepipeProgram;
-use sparsepipe_tensor::{reorder, CooMatrix};
+use sparsepipe_tensor::CooMatrix;
 use sparsepipe_trace::{TraceEvent, TraceSink, TrafficClass};
 
 use crate::config::{ReorderKind, SparsepipeConfig};
@@ -52,11 +52,13 @@ fn check_deadline(deadline: Option<&Deadline>) -> Result<(), CoreError> {
 /// The passes are the program's [`Schedule`], which follows its OEI
 /// class ([`OeiClass`](crate::schedule::OeiClass)).
 ///
-/// Every derived artifact — the reordered matrix, the arena, the pass
-/// plan — comes from `cache` (a [`MatrixCache`](crate::MatrixCache) plus
-/// this matrix's key), so repeated runs over one matrix share them; the
-/// cached artifacts are pure functions of the key, so results are the
-/// same on a shared cache and on a fresh one.
+/// The engine simulates `matrix` as given: row reordering is offline
+/// preprocessing its caller applies beforehand
+/// ([`ReorderKind::apply`]). Every derived artifact — the arena, the
+/// pass plan — comes from `cache` (a [`MatrixCache`](crate::MatrixCache)
+/// plus this matrix's key), so repeated runs over one matrix share them;
+/// the cached artifacts are pure functions of the key, so results are
+/// the same on a shared cache and on a fresh one.
 pub(crate) fn simulate_inner<S: TraceSink>(
     program: &SparsepipeProgram,
     matrix: &CooMatrix,
@@ -77,24 +79,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     }
     check_deadline(deadline)?;
 
-    let schedule = Schedule::new(&program.profile, iterations, config.preprocessing.reorder);
-
-    // ---- Offline preprocessing (§IV-E; not part of the timed run) ----
-    let reorder_kind = schedule.reorder;
-    let reordered;
-    let matrix = if reorder_kind == ReorderKind::None {
-        matrix
-    } else {
-        reordered = cache.reordered(key, reorder_kind, || {
-            let perm = match reorder_kind {
-                ReorderKind::GraphOrder => reorder::graph_order(&matrix.to_csr(), 64),
-                _ => reorder::vanilla_triangular(&matrix.to_csr(), 3),
-            };
-            matrix.permute_symmetric(&perm)
-        });
-        &*reordered
-    };
-    check_deadline(deadline)?;
+    let schedule = Schedule::new(&program.profile, iterations);
 
     let profile = &program.profile;
     let feature = profile.feature_dim as f64;
@@ -115,8 +100,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
     // the fused units and the unfused tail, each pass replaying its counts.
     let t = config.subtensor_auto(matrix.ncols(), matrix.nnz());
     let mxm_plan = if schedule.mxm {
-        let arena =
-            &*cache.reordered_arena(key, reorder_kind, || crate::MatrixArena::from_coo(matrix));
+        let arena = &*cache.arena(key, || crate::MatrixArena::from_coo(matrix));
         check_deadline(deadline)?;
         let steps = crate::spgemm::step_count(arena.n(), t) as u32;
         let plan =
@@ -139,7 +123,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                 run.fold(&plan.replay(config, &params, sink), pass.repeats, 0.0);
             }
             PassKind::Fused => {
-                let plan = &*cache.plan(key, reorder_kind, t, || PassPlan::build(matrix, t));
+                let plan = &*cache.plan(key, ReorderKind::None, t, || PassPlan::build(matrix, t));
                 check_deadline(deadline)?;
                 let params = PassParams {
                     feature,
@@ -762,12 +746,7 @@ mod gcn_tests {
     }
 
     fn cfg() -> crate::SparsepipeConfig {
-        crate::SparsepipeConfig::iso_gpu()
-            .with_buffer(1 << 20)
-            .with_preprocessing(crate::Preprocessing {
-                blocked: true,
-                reorder: crate::ReorderKind::None,
-            })
+        crate::SparsepipeConfig::iso_gpu().with_buffer(1 << 20)
     }
 
     /// SpMM-based apps keep the cross-iteration reuse: the adjacency

@@ -19,6 +19,10 @@
 //!   resulting bandwidth profiles (Fig 15);
 //! * DRAM traffic and energy accounting ([`energy`]).
 //!
+//! The engine simulates the matrix it is given, in the vertex order it is
+//! given. Row reordering (§IV-E1) is offline preprocessing: callers apply
+//! it once, before simulating ([`ReorderKind::apply`]).
+//!
 //! Functional correctness of the OEI schedule is established separately by
 //! [`oei::FusedPass`], which executes the exact Fig-8 interleaving on
 //! values and is tested against sequential operator execution.

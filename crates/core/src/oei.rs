@@ -739,10 +739,7 @@ mod tests {
             subtensor_cols: 1,
             ..crate::SparsepipeConfig::iso_gpu()
                 .with_buffer(buf)
-                .with_preprocessing(crate::Preprocessing {
-                    blocked: false,
-                    reorder: crate::ReorderKind::None,
-                })
+                .with_preprocessing(crate::Preprocessing::none())
         };
         for buf in [64 << 20, m.nnz() * 12 / 6] {
             let (_, mech) = FusedPass::new(&arena, SemiringOp::MulAdd, SemiringOp::MulAdd)

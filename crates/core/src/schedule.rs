@@ -4,8 +4,6 @@
 
 use sparsepipe_frontend::WorkloadProfile;
 
-use crate::config::ReorderKind;
-
 /// The program's OEI scheduling class (paper §III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OeiClass {
@@ -130,8 +128,6 @@ impl ScheduledPass {
 /// The typed scheduling decisions of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
-    /// Offline reordering applied before the run (§IV-E).
-    pub reorder: ReorderKind,
     /// The program's OEI class.
     pub oei: OeiClass,
     /// Whether the Gustavson mxm stage runs the passes.
@@ -155,7 +151,7 @@ fn fused_and_tail(oei: OeiClass, iterations: usize) -> (usize, usize) {
 
 impl Schedule {
     /// Schedules `iterations` of the program `profile` describes.
-    pub fn new(profile: &WorkloadProfile, iterations: usize, reorder: ReorderKind) -> Self {
+    pub fn new(profile: &WorkloadProfile, iterations: usize) -> Self {
         let oei = OeiClass::of(profile);
         let mxm = profile.mxm_passes > 0;
         let (fused, tail) = fused_and_tail(oei, iterations);
@@ -179,7 +175,6 @@ impl Schedule {
         };
         let passes = passes.into_iter().filter(|p| p.repeats > 0).collect();
         Schedule {
-            reorder,
             oei,
             mxm,
             iterations,
@@ -189,18 +184,9 @@ impl Schedule {
 
     /// The decisions as human-readable notes, one line each.
     pub fn notes(&self) -> Vec<String> {
-        let mut notes: Vec<String> = match self.reorder {
-            ReorderKind::None => Vec::new(),
-            ReorderKind::GraphOrder => {
-                vec!["offline preprocessing: GraphOrder reordering applied".into()]
-            }
-            ReorderKind::Vanilla => {
-                vec!["offline preprocessing: vanilla triangular reordering applied".into()]
-            }
-        };
         let (fused, tail) = fused_and_tail(self.oei, self.iterations);
         let n = self.iterations;
-        notes.push(match (self.mxm, self.oei) {
+        let mut notes = vec![match (self.mxm, self.oei) {
             (true, OeiClass::CrossIteration) => format!(
                 "cross-iteration OEI across mxm: {fused} fused unit(s), each covering 2 iterations"
             ),
@@ -216,7 +202,7 @@ impl Schedule {
             (false, OeiClass::None) => {
                 format!("no OEI: {n} sequential iteration(s), producer-consumer fusion only")
             }
-        });
+        }];
         if tail > 0 {
             notes.push(if self.mxm {
                 "odd iteration count: trailing iteration's mxm sweep runs unfused".into()

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use sparsepipe_core::{MatrixCache, ReorderKind};
+use sparsepipe_core::{MatrixArena, MatrixCache, MatrixProfile, PassPlan, ReorderKind};
 use sparsepipe_tensor::{gen, CooMatrix};
 
 const THREADS: usize = 8;
@@ -24,6 +24,13 @@ const ROUNDS: usize = 60;
 fn matrix_for(key: u64) -> CooMatrix {
     // distinct-but-similar matrices so eviction sizes vary a little
     gen::uniform(48, 48, 180 + (key as usize % 7) * 10, key)
+}
+
+/// Accounted bytes of an arena over `m`: a CSC and a CSR, each an (n+1)
+/// u32 pointer array plus nnz u32 coordinates and f64 values. The arena
+/// is the largest artifact family in these storms.
+fn arena_bytes(m: &CooMatrix) -> u64 {
+    2 * ((m.nrows() as usize + 1) * 4 + m.nnz() * 12) as u64
 }
 
 /// Runs `THREADS` workers in lockstep rounds against `cache`, each
@@ -43,17 +50,18 @@ fn storm(cache: &Arc<MatrixCache>, keyspace: u64) -> u64 {
                         barrier.wait();
                         let key = (t as u64 * 31 + round as u64) % keyspace;
                         let m = matrix_for(key);
-                        let r = cache.reordered(key, ReorderKind::None, || m.clone());
-                        assert_eq!(r.nnz(), m.nnz());
+                        let a = cache.arena(key, || MatrixArena::from_coo(&m));
+                        assert_eq!(a.nnz(), m.nnz());
                         lookups += 1;
                         if round % 2 == 0 {
-                            let a = cache.arena(key, || sparsepipe_core::MatrixArena::from_coo(&m));
-                            assert_eq!(a.nnz(), m.nnz());
+                            let p =
+                                cache.plan(key, ReorderKind::None, 8, || PassPlan::build(&m, 8));
+                            assert_eq!(p.nnz, m.nnz());
                             lookups += 1;
                         }
                         if round % 3 == 0 {
-                            cache.plan(key, ReorderKind::None, 8, || {
-                                sparsepipe_core::PassPlan::build(&m, 8)
+                            cache.profile(key, ReorderKind::None, 8, || {
+                                MatrixProfile::build(&PassPlan::build(&m, 8))
                             });
                             lookups += 1;
                         }
@@ -83,19 +91,16 @@ fn unbounded_storm_keeps_counters_and_bytes_coherent() {
         "every lookup must count exactly one hit or miss"
     );
     assert_eq!(cache.evictions(), 0, "unbounded cache must never evict");
-    // 16 keys × three families (reordered every round, arena on even
-    // rounds, plan on every third) — all referenced keys stay resident
+    // 16 keys × three families (arena every round, plan on even rounds,
+    // profile on every third) — all referenced keys stay resident
     assert_eq!(cache.resident_entries(), 16 * 3);
 }
 
 #[test]
 fn budgeted_storm_bounds_resident_bytes_without_counter_drift() {
     // Budget ≈ a handful of artifacts: every round somebody evicts.
-    let probe = matrix_for(0);
-    let one = (probe.nnz() * std::mem::size_of::<(u32, u32, f64)>()) as u64;
-    let budget = 3 * one;
-    // the arena is the largest artifact family in this storm
-    let largest = 2 * ((48usize + 1) * 4 + matrix_for(6).nnz() * 12) as u64;
+    let budget = 3 * arena_bytes(&matrix_for(0));
+    let largest = arena_bytes(&matrix_for(6));
     let cache = Arc::new(MatrixCache::with_budget(budget));
     let lookups = storm(&cache, 16);
     cache.audit_accounting();
@@ -115,9 +120,9 @@ fn budgeted_storm_bounds_resident_bytes_without_counter_drift() {
     );
     // the cache still works after the storm: a repeated key hits
     let m = matrix_for(3);
-    cache.reordered(99, ReorderKind::None, || m.clone());
+    cache.arena(99, || MatrixArena::from_coo(&m));
     let hits = cache.hits();
-    cache.reordered(99, ReorderKind::None, || unreachable!("must hit"));
+    cache.arena(99, || unreachable!("must hit"));
     assert_eq!(cache.hits(), hits + 1);
     cache.audit_accounting();
 }
@@ -126,10 +131,8 @@ fn budgeted_storm_bounds_resident_bytes_without_counter_drift() {
 fn concurrent_observers_see_momentary_bounds() {
     // Readers polling bytes() while writers insert+evict must never
     // observe an over-budget resident total (single-lock coherence).
-    let probe = matrix_for(0);
-    let one = (probe.nnz() * std::mem::size_of::<(u32, u32, f64)>()) as u64;
-    let budget = 2 * one;
-    let largest = 2 * ((48usize + 1) * 4 + matrix_for(6).nnz() * 12) as u64;
+    let budget = 2 * arena_bytes(&matrix_for(0));
+    let largest = arena_bytes(&matrix_for(6));
     let cache = Arc::new(MatrixCache::with_budget(budget));
     std::thread::scope(|scope| {
         let writer_cache = Arc::clone(&cache);
@@ -137,9 +140,9 @@ fn concurrent_observers_see_momentary_bounds() {
             for round in 0..200u64 {
                 let key = round % 12;
                 let m = matrix_for(key);
-                writer_cache.reordered(key, ReorderKind::None, || m.clone());
+                writer_cache.arena(key, || MatrixArena::from_coo(&m));
                 if round % 2 == 0 {
-                    writer_cache.arena(key, || sparsepipe_core::MatrixArena::from_coo(&m));
+                    writer_cache.plan(key, ReorderKind::None, 8, || PassPlan::build(&m, 8));
                 }
             }
         });

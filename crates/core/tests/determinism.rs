@@ -1,9 +1,7 @@
 //! Determinism and configuration-sensitivity tests of the simulator's
 //! public surface.
 
-use sparsepipe_core::{
-    EvictionPolicy, Preprocessing, ReorderKind, SimReport, SimRequest, SparsepipeConfig,
-};
+use sparsepipe_core::{EvictionPolicy, ReorderKind, SimReport, SimRequest, SparsepipeConfig};
 use sparsepipe_frontend::{compile, GraphBuilder, SparsepipeProgram};
 use sparsepipe_semiring::{EwiseBinary, SemiringOp};
 use sparsepipe_tensor::{gen, CooMatrix};
@@ -34,12 +32,7 @@ fn pagerank_program() -> SparsepipeProgram {
 }
 
 fn cfg() -> SparsepipeConfig {
-    SparsepipeConfig::iso_gpu()
-        .with_buffer(1 << 20)
-        .with_preprocessing(Preprocessing {
-            blocked: true,
-            reorder: ReorderKind::None,
-        })
+    SparsepipeConfig::iso_gpu().with_buffer(1 << 20)
 }
 
 /// The simulator is a pure function of (program, matrix, config).
@@ -52,18 +45,17 @@ fn repeated_runs_are_bit_identical() {
     assert_eq!(a, b);
 }
 
-/// Reordering inside simulate() is deterministic too.
+/// Offline reordering is deterministic too, and so is simulating its
+/// result.
 #[test]
 fn reordering_runs_are_deterministic() {
     let m = corpus::uniform(4000, 30_000, 5);
     let program = pagerank_program();
     for kind in [ReorderKind::GraphOrder, ReorderKind::Vanilla] {
-        let c = cfg().with_preprocessing(Preprocessing {
-            blocked: true,
-            reorder: kind,
-        });
-        let a = simulate(&program, &m, 8, &c).unwrap();
-        let b = simulate(&program, &m, 8, &c).unwrap();
+        let (ra, rb) = (kind.apply(&m), kind.apply(&m));
+        assert_eq!(ra, rb, "{kind:?}");
+        let a = simulate(&program, &ra, 8, &cfg()).unwrap();
+        let b = simulate(&program, &rb, 8, &cfg()).unwrap();
         assert_eq!(a, b, "{kind:?}");
     }
 }

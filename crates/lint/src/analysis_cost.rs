@@ -546,7 +546,7 @@ fn op_envelopes(program: &SparsepipeProgram, mp: &MatrixProfile) -> Vec<OpEnvelo
 /// schedule geometry in `mp`, under `config`.
 ///
 /// The profile must come from the *same* plan the simulator will run:
-/// the matrix after `config`'s reordering, at the sub-tensor width
+/// the matrix the simulator is given, at the sub-tensor width
 /// `config.subtensor_auto` selects ([`analyze_matrix`] does this).
 #[must_use]
 pub fn analyze(
@@ -569,7 +569,7 @@ pub fn analyze(
 
     // Per-pass bounds, aggregated the way the engine accumulates:
     // per-pass traffic scaled by its repeat count, summed.
-    let schedule = Schedule::new(wp, iterations, config.preprocessing.reorder);
+    let schedule = Schedule::new(wp, iterations);
     let (mut no_eviction, mut thrash) = (true, None);
     let mut passes: Vec<PassCost> = Vec::new();
     let (mut traffic, mut occupancy) = (TrafficBounds::zero(), Interval::zero());
@@ -740,8 +740,8 @@ pub fn analyze(
 /// width the simulator would pick (`config.subtensor_auto`) and derives
 /// the [`MatrixProfile`] from it.
 ///
-/// The caller must pass the matrix **after** any reordering the
-/// configuration applies, exactly as the simulator receives it.
+/// The caller must pass the matrix exactly as the simulator receives it,
+/// in the same vertex order.
 ///
 /// # Panics
 ///

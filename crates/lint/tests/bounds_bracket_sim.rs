@@ -12,7 +12,7 @@
 //! paths (cross-iteration OEI, within-iteration OEI, no OEI).
 
 use proptest::prelude::*;
-use sparsepipe_core::{ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe_core::{SimRequest, SparsepipeConfig};
 use sparsepipe_frontend::{compile, GraphBuilder, SparsepipeProgram};
 use sparsepipe_lint::analysis_cost::{analyze_matrix, CostReport};
 use sparsepipe_semiring::{EwiseBinary, SemiringOp};
@@ -64,11 +64,10 @@ fn program_by_index(i: usize) -> SparsepipeProgram {
     }
 }
 
-/// A configuration whose reordering is disabled, so the matrix the
-/// analyzer sees is bit-identical to the one the engine schedules.
+/// The iso-GPU configuration at `buffer_bytes`, with eager CSR loading
+/// toggled.
 fn config_with(buffer_bytes: usize, eager: bool) -> SparsepipeConfig {
     let mut config = SparsepipeConfig::iso_gpu();
-    config.preprocessing.reorder = ReorderKind::None;
     config.buffer_bytes = buffer_bytes;
     config.eager_csr = eager;
     config

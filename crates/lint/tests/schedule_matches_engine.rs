@@ -5,7 +5,7 @@
 //! engine has always printed.
 
 use sparsepipe_core::schedule::{PassKind, Schedule};
-use sparsepipe_core::{ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe_core::{SimRequest, SparsepipeConfig};
 use sparsepipe_frontend::{compile, GraphBuilder, SparsepipeProgram};
 use sparsepipe_lint::analysis_cost::analyze_matrix;
 use sparsepipe_semiring::{EwiseBinary, SemiringOp};
@@ -146,9 +146,7 @@ fn pinned_notes(program: &str, iterations: usize) -> Vec<&'static str> {
 #[test]
 fn analyzer_and_engine_read_one_schedule() {
     let m = gen::power_law(256, 2048, 1.0, 0.4, 7);
-    // Unreordered, so the analyzer sees the matrix the engine schedules.
-    let mut config = SparsepipeConfig::iso_gpu();
-    config.preprocessing.reorder = ReorderKind::None;
+    let config = SparsepipeConfig::iso_gpu();
     let programs = [
         ("cross", cross_iteration_vxm()),
         ("within", within_iteration_vxm()),
@@ -159,7 +157,7 @@ fn analyzer_and_engine_read_one_schedule() {
     for (name, program) in &programs {
         for iterations in [1usize, 2, 9, 20, 21] {
             let context = format!("{name} @ {iterations}");
-            let schedule = Schedule::new(&program.profile, iterations, ReorderKind::None);
+            let schedule = Schedule::new(&program.profile, iterations);
             let scheduled: Vec<(PassKind, u32, u64)> = (0u32..)
                 .zip(&schedule.passes)
                 .map(|(ordinal, p)| (p.kind, ordinal, p.repeats))
@@ -204,21 +202,4 @@ fn analyzer_and_engine_read_one_schedule() {
             }
         }
     }
-}
-
-#[test]
-fn reordering_leads_the_notes() {
-    let schedule = Schedule::new(&cross_iteration_vxm().profile, 4, ReorderKind::GraphOrder);
-    assert_eq!(
-        schedule.notes(),
-        [
-            "offline preprocessing: GraphOrder reordering applied",
-            "cross-iteration OEI: 2 fused pass(es), each covering 2 iterations",
-        ]
-    );
-    let schedule = Schedule::new(&no_oei().profile, 3, ReorderKind::Vanilla);
-    assert_eq!(
-        schedule.notes()[0],
-        "offline preprocessing: vanilla triangular reordering applied"
-    );
 }

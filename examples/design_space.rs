@@ -7,7 +7,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use sparsepipe::core::{EvictionPolicy, Preprocessing, ReorderKind};
+use sparsepipe::core::EvictionPolicy;
 use sparsepipe::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,10 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let app = sparsepipe::apps::sssp::app(16);
     let program = app.compile()?;
-    let base = SparsepipeConfig::iso_gpu().with_preprocessing(Preprocessing {
-        blocked: true,
-        reorder: ReorderKind::None,
-    });
+    let base = SparsepipeConfig::iso_gpu();
 
     println!("--- buffer capacity sweep (eviction ping-pong sets in when the live set spills) ---");
     println!(

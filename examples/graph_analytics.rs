@@ -10,6 +10,7 @@
 use sparsepipe::baselines::cpu::CpuModel;
 use sparsepipe::baselines::ideal::IdealAccelerator;
 use sparsepipe::baselines::WorkloadInstance;
+use sparsepipe::core::ReorderKind;
 use sparsepipe::prelude::*;
 use sparsepipe::tensor::MatrixStats;
 
@@ -33,6 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         live.avg_percent()
     );
 
+    // Sparsepipe runs on the matrix after offline GraphOrder reordering.
+    let reordered = ReorderKind::GraphOrder.apply(&graph);
     let config = SparsepipeConfig::iso_gpu();
     println!(
         "{:<8} {:>12} {:>12} {:>14} {:>12} {:>10}",
@@ -45,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sparsepipe::apps::kcore::app(16),
     ] {
         let program = app.compile()?;
-        let report = SimRequest::new(&program, &graph)
+        let report = SimRequest::new(&program, &reordered)
             .iterations(app.default_iterations)
             .config(config)
             .run()?

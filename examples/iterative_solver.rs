@@ -12,6 +12,7 @@
 //! cargo run --release --example iterative_solver
 //! ```
 
+use sparsepipe::core::ReorderKind;
 use sparsepipe::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,8 +42,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("after {iters:>2} iterations: max residual {resid:.3e}");
     }
 
-    // (c) simulation: the matrix streams once per iteration
-    let report = SimRequest::new(&program, &a).iterations(24).run()?.report;
+    // (c) simulation, after offline GraphOrder reordering: the matrix
+    //     streams once per iteration
+    let reordered = ReorderKind::GraphOrder.apply(&a);
+    let report = SimRequest::new(&program, &reordered)
+        .iterations(24)
+        .run()?
+        .report;
     println!(
         "\nsimulated 24 iterations: {:.3} ms, matrix loads/iteration = {:.2} (no cross-iteration reuse)",
         report.runtime_s * 1e3,
@@ -52,7 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // contrast with an OEI app on the same matrix
     let pr = sparsepipe::apps::pagerank::app(24);
     let pr_prog = pr.compile()?;
-    let pr_report = SimRequest::new(&pr_prog, &a).iterations(24).run()?.report;
+    let pr_report = SimRequest::new(&pr_prog, &reordered)
+        .iterations(24)
+        .run()?
+        .report;
     println!(
         "PageRank on the same matrix: matrix loads/iteration = {:.2} (OEI halves it)",
         pr_report.matrix_loads_per_iteration

@@ -11,7 +11,7 @@
 use sparsepipe::core::oei::FusedPass;
 use sparsepipe::core::pipeline::{PassParams, PassRequest};
 use sparsepipe::core::plan::PassPlan;
-use sparsepipe::core::{MatrixArena, Preprocessing, ReorderKind, SparsepipeConfig};
+use sparsepipe::core::{MatrixArena, SparsepipeConfig};
 use sparsepipe::semiring::SemiringOp;
 use sparsepipe::tensor::{gen, DenseVector};
 
@@ -52,12 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- timing: per-step demand and buffer occupancy ----
     let config = SparsepipeConfig {
         subtensor_cols: t_cols,
-        ..SparsepipeConfig::iso_gpu()
-            .with_buffer(256 << 10)
-            .with_preprocessing(Preprocessing {
-                blocked: true,
-                reorder: ReorderKind::None,
-            })
+        ..SparsepipeConfig::iso_gpu().with_buffer(256 << 10)
     };
     let params = PassParams {
         feature: 1.0,

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use sparsepipe::core::ReorderKind;
 use sparsepipe::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,9 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("non-empty");
     println!("highest-rank vertex: {} (rank {:.5})", top.0, top.1);
 
-    // 4. Performance simulation on the Sparsepipe architecture.
+    // 4. Performance simulation on the Sparsepipe architecture, after the
+    //    offline GraphOrder row reordering (§IV-E1).
+    let reordered = ReorderKind::GraphOrder.apply(&graph);
     let config = SparsepipeConfig::iso_gpu();
-    let outcome = SimRequest::new(&program, &graph)
+    let outcome = SimRequest::new(&program, &reordered)
         .iterations(20)
         .config(config)
         .run()?;

@@ -9,8 +9,9 @@
 
 use std::io::BufReader;
 
+use sparsepipe::core::ReorderKind;
 use sparsepipe::prelude::*;
-use sparsepipe::tensor::{livesweep, mm, reorder, MatrixStats};
+use sparsepipe::tensor::{livesweep, mm, MatrixStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::args()
@@ -30,8 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Table-I-style live-set analysis, before and after GraphOrder.
     let before = livesweep::sweep(&matrix);
-    let perm = reorder::graph_order(&matrix.to_csr(), 64);
-    let reordered = matrix.permute_symmetric(&perm);
+    let reordered = ReorderKind::GraphOrder.apply(&matrix);
     let after = livesweep::sweep(&reordered);
     println!(
         "OEI live set: max {:.1}% / avg {:.1}% of nnz (after GraphOrder: {:.1}% / {:.1}%)",

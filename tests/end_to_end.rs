@@ -2,7 +2,7 @@
 //! multiple dataset families, must exhibit the paper's headline behaviors.
 
 use sparsepipe::apps::{registry, ReusePattern};
-use sparsepipe::core::{Preprocessing, ReorderKind, SimRequest, SparsepipeConfig};
+use sparsepipe::core::{Preprocessing, SimRequest, SparsepipeConfig};
 use sparsepipe::tensor::gen;
 
 fn simulate(
@@ -19,12 +19,7 @@ fn simulate(
 }
 
 fn config() -> SparsepipeConfig {
-    SparsepipeConfig::iso_gpu()
-        .with_buffer(4 << 20)
-        .with_preprocessing(Preprocessing {
-            blocked: true,
-            reorder: ReorderKind::None,
-        })
+    SparsepipeConfig::iso_gpu().with_buffer(4 << 20)
 }
 
 /// Matrix loads per iteration: ≈0.5 for cross-iteration OEI apps, ≈1.0

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sparsepipe::core::{
     pipeline::{PassParams, PassRequest, PassResult},
     plan::PassPlan,
-    Preprocessing, ReorderKind, SparsepipeConfig,
+    Preprocessing, SparsepipeConfig,
 };
 use sparsepipe::tensor::CooMatrix;
 
@@ -38,10 +38,7 @@ fn cfg(buffer: usize, t: usize) -> SparsepipeConfig {
         subtensor_cols: t,
         ..SparsepipeConfig::iso_gpu()
             .with_buffer(buffer)
-            .with_preprocessing(Preprocessing {
-                blocked: false,
-                reorder: ReorderKind::None,
-            })
+            .with_preprocessing(Preprocessing::none())
     }
 }
 
