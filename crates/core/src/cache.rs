@@ -175,13 +175,6 @@ impl CacheBytes {
     }
 }
 
-fn plan_heap_bytes(p: &PassPlan) -> u64 {
-    // five nnz-length u32 arrays, two (steps+1) usize pointer arrays,
-    // one steps-length usize curve
-    (5 * p.nnz * std::mem::size_of::<u32>()
-        + (2 * (p.steps + 1) + p.steps) * std::mem::size_of::<usize>()) as u64
-}
-
 fn arena_heap_bytes(a: &MatrixArena) -> u64 {
     // CSC + CSR: each one (n+1) u32 pointer array plus nnz coordinates
     // (u32) and values (f64)
@@ -321,7 +314,11 @@ impl MatrixCache {
     where
         F: FnOnce() -> PassPlan,
     {
-        self.get_or_build(ArtifactKey::Plan(key, kind, t_cols), build, plan_heap_bytes)
+        self.get_or_build(
+            ArtifactKey::Plan(key, kind, t_cols),
+            build,
+            PassPlan::heap_bytes,
+        )
     }
 
     /// The [`MatrixProfile`] of matrix `key` at sub-tensor width
@@ -468,7 +465,7 @@ mod tests {
         let key = MatrixCache::key_for("t", &m);
         cache.plan(key, ReorderKind::None, 8, || PassPlan::build(&m, 8));
         let after_plan = cache.bytes();
-        assert!(after_plan.plans > 0);
+        assert_eq!(after_plan.plans, PassPlan::build(&m, 8).heap_bytes());
         assert_eq!(after_plan.total(), after_plan.plans);
         // hits do not grow the accounted bytes
         cache.plan(key, ReorderKind::None, 8, || panic!("must hit"));
@@ -568,7 +565,7 @@ mod tests {
     #[test]
     fn eviction_crosses_families_by_global_lru() {
         let m = gen::uniform(64, 64, 300, 3);
-        let plan = plan_heap_bytes(&PassPlan::build(&m, 8));
+        let plan = PassPlan::build(&m, 8).heap_bytes();
         let arena = arena_heap_bytes(&MatrixArena::from_coo(&m));
         assert!(plan <= arena, "test relies on arena >= plan");
         let cache = MatrixCache::with_budget(2 * arena);

@@ -140,7 +140,7 @@ pub(crate) fn simulate_inner<S: TraceSink>(
                     vec_read_passes: profile.fused_vector_reads + feature,
                     vec_write_passes: profile.fused_vector_writes + feature,
                 };
-                run.open(sink, pass.repeats, plan.steps as u32);
+                run.open(sink, pass.repeats, plan.steps() as u32);
                 let result =
                     crate::pipeline::execute_pass_traced(plan, config, &params, sink, deadline)?;
                 run.fold(&result, pass.repeats, n * 8.0 * feature);

@@ -78,7 +78,7 @@ impl Default for PassParams {
 ///         ..PassParams::default()
 ///     })
 ///     .run();
-/// assert_eq!(result.steps.len(), plan.steps);
+/// assert_eq!(result.steps.len(), plan.steps());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PassRequest<'a> {
@@ -186,7 +186,7 @@ const SCATTER_FACTOR: f64 = 1.1;
 /// simulator's stand-in for the paper's traffic-estimator parameter `R`,
 /// which "conservatively fetches up to R row data" to keep the IS stage
 /// aligned with near-future work instead of flooding the buffer.
-pub(crate) const PREFETCH_LOOKAHEAD_STEPS: u32 = 16;
+pub(crate) const PREFETCH_LOOKAHEAD_STEPS: usize = 16;
 
 /// Pipeline fill/drain steps (CSC load → OS → E-Wise → IS).
 const PIPELINE_STAGES: f64 = 3.0;
@@ -218,7 +218,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     let pes = config.pes_per_core as f64;
 
     let mut buffer = BufferModel::new(
-        plan.nnz,
+        plan.nnz(),
         elem_b,
         config.buffer_bytes as f64,
         config.repack_threshold,
@@ -226,9 +226,10 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     )
     .with_validation(config.validate);
 
-    let n = plan.n as f64;
+    let n = plan.n() as f64;
+    let steps = plan.steps();
     let vec_bytes_per_step =
-        (params.vec_read_passes + params.vec_write_passes) * n * 8.0 / plan.steps as f64;
+        (params.vec_read_passes + params.vec_write_passes) * n * 8.0 / steps as f64;
     let vec_write_fraction = if params.vec_read_passes + params.vec_write_passes > 0.0 {
         params.vec_write_passes / (params.vec_read_passes + params.vec_write_passes)
     } else {
@@ -236,7 +237,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     };
 
     let mut ledger = TrafficLedger::default();
-    let mut steps_out = Vec::with_capacity(plan.steps);
+    let mut steps_out = Vec::with_capacity(steps);
     let mut total_cycles = 0.0f64;
     let mut os_ops = 0.0f64;
     let mut ew_ops = 0.0f64;
@@ -245,7 +246,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     let mut occupancy_sum = 0.0f64;
     let mut prefetch_cursor: usize = 0;
 
-    for s in 0..plan.steps {
+    for s in 0..steps {
         if s % DEADLINE_CHECK_STEPS == 0 {
             if let Some(d) = deadline {
                 d.check()?;
@@ -255,8 +256,8 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         // at half the buffer so matrix data always has some room (beyond
         // that point the vector windows spill and thrash, which manifests
         // as matrix evictions here).
-        let vec_reserved =
-            (plan.vec_live[s] as f64 * 8.0 * params.feature).min(config.buffer_bytes as f64 * 0.5);
+        let vec_reserved = (plan.vec_live()[s] as f64 * 8.0 * params.feature)
+            .min(config.buffer_bytes as f64 * 0.5);
 
         let mut csc_bytes = 0.0f64;
         let mut refetch_bytes = 0.0f64;
@@ -270,19 +271,23 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 step: s as u32,
             });
         }
+        // Ids are row-major, so the elements whose rows the IS core
+        // consumed before this step are exactly the ids below its start.
+        let is_passed = plan.is_start(s);
         for &e in plan.os_elements(s) {
             os_elems += 1;
             if buffer.is_resident(e) {
                 // hit: eager CSR loading (or an earlier refetch) already
                 // brought it on chip.
-                if plan.row_step[e as usize] < s as u32 && !buffer.is_done(e) {
+                if e < is_passed && !buffer.is_done(e) {
                     // deferred IS work now completes too
                     is_elems += 1;
                     buffer.consume_is(e);
                     if S::ENABLED {
+                        let (row, col) = plan.coords(e);
                         sink.emit(TraceEvent::BufferHit {
-                            row: plan.rows[e as usize],
-                            col: plan.cols[e as usize],
+                            row,
+                            col,
                             stage: PipeStage::Is,
                             step: s as u32,
                         });
@@ -290,9 +295,10 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 }
                 buffer.consume_os(e);
                 if S::ENABLED {
+                    let (row, col) = plan.coords(e);
                     sink.emit(TraceEvent::BufferHit {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         stage: PipeStage::Os,
                         step: s as u32,
                     });
@@ -305,23 +311,25 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                     csc_bytes += fetch_b;
                 }
                 if S::ENABLED {
+                    let (row, col) = plan.coords(e);
                     sink.emit(TraceEvent::BufferInsert {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         step: s as u32,
                         refetch,
                         bytes: elem_b,
                     });
                 }
-                if plan.row_step[e as usize] < s as u32 {
+                if e < is_passed {
                     // IS passed this row already: apply the pending
                     // scatter immediately (deferred-IS path).
                     is_elems += 1;
                     buffer.consume_is(e);
                     if S::ENABLED {
+                        let (row, col) = plan.coords(e);
                         sink.emit(TraceEvent::BufferHit {
-                            row: plan.rows[e as usize],
-                            col: plan.cols[e as usize],
+                            row,
+                            col,
                             stage: PipeStage::Is,
                             step: s as u32,
                         });
@@ -329,9 +337,10 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 }
                 buffer.consume_os(e);
                 if S::ENABLED {
+                    let (row, col) = plan.coords(e);
                     sink.emit(TraceEvent::BufferHit {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         stage: PipeStage::Os,
                         step: s as u32,
                     });
@@ -346,6 +355,8 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 step: s as u32,
             });
         }
+        // The OS core has consumed every column below this step's end.
+        let os_passed = (s + 1) * plan.t_cols();
         for e in plan.is_elements(s) {
             if buffer.is_done(e) {
                 continue;
@@ -354,14 +365,15 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 is_elems += 1;
                 buffer.consume_is(e);
                 if S::ENABLED {
+                    let (row, col) = plan.coords(e);
                     sink.emit(TraceEvent::BufferHit {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         stage: PipeStage::Is,
                         step: s as u32,
                     });
                 }
-            } else if buffer.is_evicted(e) && plan.col_step[e as usize] <= s as u32 {
+            } else if buffer.is_evicted(e) && (plan.cols()[e as usize] as usize) < os_passed {
                 // The OS already passed this column; nothing else will
                 // bring the element back — refetch now (memory ping-pong).
                 buffer.load(e);
@@ -369,24 +381,25 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
                 is_elems += 1;
                 buffer.consume_is(e);
                 if S::ENABLED {
+                    let (row, col) = plan.coords(e);
                     sink.emit(TraceEvent::BufferInsert {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         step: s as u32,
                         refetch: true,
                         bytes: elem_b,
                     });
                     sink.emit(TraceEvent::BufferHit {
-                        row: plan.rows[e as usize],
-                        col: plan.cols[e as usize],
+                        row,
+                        col,
                         stage: PipeStage::Is,
                         step: s as u32,
                     });
                 }
             }
             // NotLoaded (or evicted with a future column step): defer —
-            // the CSC loader will bring it at `col_step` and the pending
-            // scatter applies then.
+            // the CSC loader will bring it at its column's step and the
+            // pending scatter applies then.
         }
 
         // ---- Stage costs ----
@@ -395,14 +408,14 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         if S::ENABLED {
             // The E-Wise core processes this step's column block of the
             // dense operand vectors (fewer lanes on a ragged last step).
-            let lanes = plan.t_cols.min(plan.n as usize - s * plan.t_cols) as u64;
+            let lanes = plan.t_cols().min(plan.n() as usize - s * plan.t_cols()) as u64;
             sink.emit(TraceEvent::EwiseFire {
                 step: s as u32,
                 lanes,
             });
         }
         let step_os_ops = os_elems as f64 * params.feature * 2.0;
-        let step_ew_ops = plan.t_cols as f64
+        let step_ew_ops = plan.t_cols() as f64
             * params.feature
             * (params.ewise_arith_per_elem * params.ewise_iterations
                 + params.dense_flops_per_element);
@@ -429,23 +442,23 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         if config.eager_csr {
             let mut budget = step_cycles * bpc - demand_bytes;
             let mut room = buffer.headroom_bytes(vec_reserved);
-            // Only rows beyond the current IS frontier are candidates.
-            prefetch_cursor = prefetch_cursor.max(plan.row_ptr_by_step[s + 1]);
-            let horizon = s as u32 + PREFETCH_LOOKAHEAD_STEPS;
-            while budget >= fetch_b && room >= elem_b && prefetch_cursor < plan.nnz {
+            // Only rows beyond the current IS frontier and within the
+            // lookahead horizon are candidates: ids from the start of step
+            // `s + 1` up to the start of the first step past the horizon.
+            prefetch_cursor = prefetch_cursor.max(plan.is_start(s + 1) as usize);
+            let horizon_end = plan.is_start(s + 1 + PREFETCH_LOOKAHEAD_STEPS) as usize;
+            while budget >= fetch_b && room >= elem_b && prefetch_cursor < horizon_end {
                 let e = prefetch_cursor as u32;
-                if plan.row_step[e as usize] > horizon {
-                    break;
-                }
                 if buffer.is_unloaded(e) {
                     buffer.load(e);
                     csr_bytes += fetch_b;
                     budget -= fetch_b;
                     room -= elem_b;
                     if S::ENABLED {
+                        let (row, col) = plan.coords(e);
                         sink.emit(TraceEvent::BufferInsert {
-                            row: plan.rows[e as usize],
-                            col: plan.cols[e as usize],
+                            row,
+                            col,
                             step: s as u32,
                             refetch: false,
                             bytes: elem_b,
@@ -459,9 +472,10 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         // ---- Capacity enforcement & repacking ----
         if S::ENABLED {
             buffer.enforce_capacity_with(vec_reserved, |e| {
+                let (row, col) = plan.coords(e);
                 sink.emit(TraceEvent::BufferEvict {
-                    row: plan.rows[e as usize],
-                    col: plan.cols[e as usize],
+                    row,
+                    col,
                     step: s as u32,
                 });
             });
@@ -515,7 +529,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
     }
 
     // Pipeline fill/drain.
-    let avg_step = total_cycles / plan.steps as f64;
+    let avg_step = total_cycles / steps as f64;
     total_cycles += PIPELINE_STAGES * avg_step;
 
     Ok(PassResult {
@@ -525,7 +539,7 @@ pub(crate) fn execute_pass_traced<S: TraceSink>(
         evictions: buffer.evicted_elements(),
         repacks: buffer.repack_events(),
         buffer_peak_bytes: buffer.peak_bytes(),
-        buffer_avg_bytes: occupancy_sum / plan.steps as f64,
+        buffer_avg_bytes: occupancy_sum / steps as f64,
         os_ops,
         ew_ops,
         is_ops,
@@ -669,7 +683,7 @@ mod tests {
         let m = gen::uniform(500, 500, 3000, 2);
         let plan = PassPlan::build(&m, 1);
         let r = run_pass(&plan, &cfg(64 << 20), &params());
-        assert_eq!(r.steps.len(), plan.steps);
+        assert_eq!(r.steps.len(), plan.steps());
         let sum: f64 = r.steps.iter().map(|s| s.cycles).sum();
         assert!(r.cycles > sum, "fill/drain adds cycles");
         assert!(r.cycles < sum * 1.1);

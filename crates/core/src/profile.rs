@@ -24,7 +24,9 @@ use crate::plan::PassPlan;
 ///
 /// All step-indexed vectors have `steps` entries. "Element" means one
 /// stored non-zero; multiply counts by the configuration's
-/// per-element byte sizes to get bytes.
+/// per-element byte sizes to get bytes. An element's `col_step` is its
+/// column divided by `t_cols` (when the OS core consumes it) and its
+/// `row_step` is its row divided by `t_cols` (when the IS core does).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixProfile {
     /// Matrix dimension (square).
@@ -102,7 +104,9 @@ pub struct MatrixProfile {
 impl MatrixProfile {
     /// Derives the profile from a plan in `O(nnz + steps)`.
     pub fn build(plan: &PassPlan) -> Self {
-        let steps = plan.steps;
+        let steps = plan.steps();
+        let t = plan.t_cols();
+        let (row_ptr, cols) = (plan.row_ptr(), plan.cols());
         let look = PREFETCH_LOOKAHEAD_STEPS;
         let mut eager_loadable = 0usize;
         let mut refetch_candidates = 0usize;
@@ -115,48 +119,50 @@ impl MatrixProfile {
         // step's capacity enforcement runs.
         let mut delta_eager = vec![0i64; steps + 1];
         let mut delta_demand = vec![0i64; steps + 1];
-        for e in 0..plan.nnz {
-            let cs = plan.col_step[e];
-            let rs = plan.row_step[e];
-            // Eager loads at step `s` require s >= row_step - lookahead
-            // (horizon), s < row_step (cursor has moved past earlier
-            // rows), and s < col_step (still unloaded): non-empty iff
-            // row_step >= 1 and col_step + lookahead > row_step.
-            let loadable = rs >= 1 && cs + look > rs;
-            if loadable {
-                eager_loadable += 1;
-            }
-            if cs < rs {
-                refetch_candidates += 1;
-            }
-            if cs != rs {
-                deferred_consumptions += 1;
-            }
-            if rs >= cs {
-                coresident[cs as usize] += 1;
-            }
-            if rs > cs {
-                os_live_at_enforce[cs as usize] += 1;
-            }
-            // Demand loading pulls the element in at its *first* consuming
-            // step (the IS loader demand-loads too, so an element whose
-            // row precedes its column joins at `row_step`); eager loading
-            // can additionally pull it in up to `lookahead` steps before
-            // its IS consumption.
-            let freed = cs.max(rs) as usize;
-            let earliest_demand = cs.min(rs) as usize;
-            let earliest_eager = if loadable {
-                rs.saturating_sub(look) as usize
-            } else {
-                earliest_demand
-            };
-            if freed > earliest_eager {
-                delta_eager[earliest_eager] += 1;
-                delta_eager[freed] -= 1;
-            }
-            if freed > earliest_demand {
-                delta_demand[earliest_demand] += 1;
-                delta_demand[freed] -= 1;
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            let rs = r / t;
+            for &c in &cols[span[0] as usize..span[1] as usize] {
+                let cs = c as usize / t;
+                // Eager loads at step `s` require s >= row_step - lookahead
+                // (horizon), s < row_step (cursor has moved past earlier
+                // rows), and s < col_step (still unloaded): non-empty iff
+                // row_step >= 1 and col_step + lookahead > row_step.
+                let loadable = rs >= 1 && cs + look > rs;
+                if loadable {
+                    eager_loadable += 1;
+                }
+                if cs < rs {
+                    refetch_candidates += 1;
+                }
+                if cs != rs {
+                    deferred_consumptions += 1;
+                }
+                if rs >= cs {
+                    coresident[cs] += 1;
+                }
+                if rs > cs {
+                    os_live_at_enforce[cs] += 1;
+                }
+                // Demand loading pulls the element in at its *first*
+                // consuming step (the IS loader demand-loads too, so an
+                // element whose row precedes its column joins at
+                // `row_step`); eager loading can additionally pull it in up
+                // to `lookahead` steps before its IS consumption.
+                let freed = cs.max(rs);
+                let earliest_demand = cs.min(rs);
+                let earliest_eager = if loadable {
+                    rs.saturating_sub(look)
+                } else {
+                    earliest_demand
+                };
+                if freed > earliest_eager {
+                    delta_eager[earliest_eager] += 1;
+                    delta_eager[freed] -= 1;
+                }
+                if freed > earliest_demand {
+                    delta_demand[earliest_demand] += 1;
+                    delta_demand[freed] -= 1;
+                }
             }
         }
         let prefix = |delta: &[i64]| {
@@ -174,12 +180,11 @@ impl MatrixProfile {
         // SpGEMM statics of the self-product M ⊕.⊗ M, from per-row /
         // per-column populations (O(nnz + n)). These bound the Gustavson
         // stage (`sparsepipe_core::spgemm`) without running it.
-        let n_us = plan.n as usize;
-        let mut row_nnz = vec![0u64; n_us];
+        let n_us = plan.n() as usize;
+        let row_nnz: Vec<u64> = row_ptr.windows(2).map(|w| u64::from(w[1] - w[0])).collect();
         let mut col_nnz = vec![0u64; n_us];
-        for e in 0..plan.nnz {
-            row_nnz[plan.rows[e] as usize] += 1;
-            col_nnz[plan.cols[e] as usize] += 1;
+        for &c in cols {
+            col_nnz[c as usize] += 1;
         }
         let mut spgemm_products = 0u64;
         let mut spgemm_touched_elements = 0u64;
@@ -189,10 +194,15 @@ impl MatrixProfile {
                 spgemm_touched_elements += row_nnz[k];
             }
         }
-        let mut expansion = vec![0u64; n_us];
-        for e in 0..plan.nnz {
-            expansion[plan.rows[e] as usize] += row_nnz[plan.cols[e] as usize];
-        }
+        let expansion: Vec<u64> = row_ptr
+            .windows(2)
+            .map(|w| {
+                cols[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|&c| row_nnz[c as usize])
+                    .sum()
+            })
+            .collect();
         let spgemm_max_row_expansion = expansion.iter().copied().max().unwrap_or(0);
         let spgemm_nonempty_out_rows = expansion.iter().filter(|&&x| x > 0).count() as u32;
         let max_row_nnz = row_nnz.iter().copied().max().unwrap_or(0) as u32;
@@ -201,9 +211,9 @@ impl MatrixProfile {
             .max()
             .unwrap_or(0);
         MatrixProfile {
-            n: plan.n,
-            nnz: plan.nnz,
-            t_cols: plan.t_cols,
+            n: plan.n(),
+            nnz: plan.nnz(),
+            t_cols: t,
             steps,
             eager_loadable,
             refetch_candidates,
@@ -213,7 +223,7 @@ impl MatrixProfile {
             os_live_at_enforce,
             worst_live_eager,
             worst_live_demand,
-            vec_live: plan.vec_live.clone(),
+            vec_live: plan.vec_live().to_vec(),
             spgemm_products,
             spgemm_touched_elements,
             spgemm_max_row_expansion,
@@ -242,7 +252,7 @@ mod tests {
         let m = gen::uniform(200, 200, 2_000, 7);
         let plan = PassPlan::build(&m, 8);
         let p = MatrixProfile::build(&plan);
-        assert_eq!(p.steps, plan.steps);
+        assert_eq!(p.steps, plan.steps());
         assert!(p.eager_loadable <= p.nnz);
         assert!(p.refetch_candidates <= p.deferred_consumptions);
         assert!(p.deferred_consumptions <= p.nnz);

@@ -56,7 +56,7 @@ fn storm(cache: &Arc<MatrixCache>, keyspace: u64) -> u64 {
                         if round % 2 == 0 {
                             let p =
                                 cache.plan(key, ReorderKind::None, 8, || PassPlan::build(&m, 8));
-                            assert_eq!(p.nnz, m.nnz());
+                            assert_eq!(p.nnz(), m.nnz());
                             lookups += 1;
                         }
                         if round % 3 == 0 {

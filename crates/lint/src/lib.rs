@@ -16,8 +16,8 @@
 //! * [`oei_oracle`] (`SP-O…`) — re-derives fusion legality (sub-tensor
 //!   dependency paths, side-operand taint, ≤1 carry crossing) from
 //!   scratch and cross-checks `analysis::analyze`'s answer.
-//! * [`plan_checks`] (`SP-P…`) — [`PassPlan`] array invariants and the
-//!   working-set-vs-buffer warning.
+//! * [`plan_checks`] (`SP-P…`) — the [`PassPlan`] working-set-vs-buffer
+//!   warning (the plan's structural invariants hold by construction).
 //! * [`analysis_cost`] (`SP-C…`) — the static cost & reuse analyzer:
 //!   abstract interpretation that brackets DRAM traffic and buffer
 //!   occupancy per pass, scores cross-iteration reuse, and warns on
@@ -106,8 +106,10 @@ pub fn lint_program(program: &SparsepipeProgram) -> LintReport {
     report
 }
 
-/// Checks a [`PassPlan`]'s structural invariants (`SP-P`) against the
-/// buffer geometry it will run under.
+/// Checks a [`PassPlan`] against the buffer geometry it will run under
+/// (`SP-P`): warns when its peak dense-vector working set overflows the
+/// pipeline's half-buffer cap. The plan's structure needs no check — its
+/// fields are private and [`PassPlan::build`] is their only writer.
 pub fn lint_plan(plan: &PassPlan, config: &SparsepipeConfig, feature_dim: usize) -> LintReport {
     let mut report = LintReport::new();
     plan_checks::check(plan, config, feature_dim, &mut report);

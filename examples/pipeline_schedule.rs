@@ -24,20 +24,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.nrows(),
         m.nnz(),
         t_cols,
-        plan.steps
+        plan.steps()
     );
 
     // ---- Fig 13: stage occupancy per step ----
     println!("step | CSC loader | OS core   | E-Wise    | IS core   ");
     println!("-----+------------+-----------+-----------+-----------");
     let show = |i: i64| -> String {
-        if i >= 0 && (i as usize) < plan.steps {
+        if i >= 0 && (i as usize) < plan.steps() {
             format!("subtensor {i:<2}")
         } else {
             "idle".into()
         }
     };
-    for s in 0..(plan.steps as i64 + 3).min(10) {
+    for s in 0..(plan.steps() as i64 + 3).min(10) {
         println!(
             "{:>4} | {:<10} | {:<9} | {:<9} | {:<9}",
             s,
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.cycles
     );
     println!("step | cycles | csc KB | eager KB | occupancy KB");
-    for (i, s) in result.steps.iter().enumerate().step_by(plan.steps / 8) {
+    for (i, s) in result.steps.iter().enumerate().step_by(plan.steps() / 8) {
         println!(
             "{:>4} | {:>6.1} | {:>6.2} | {:>8.2} | {:>8.1}",
             i,
